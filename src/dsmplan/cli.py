@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
-from .clustering import ClusterAssignment, ClusterParams, cluster
+from .clustering import ClusterParams
 from .dsm import Dsm, build_dsm, permute, to_binary, write_dsm_csv
 from .errors import DsmPlanError, ParseError, PieceExceedsWindow, UnsplittablePiece
 from .manifest import ConversationModel, parse_manifest
@@ -27,12 +27,12 @@ from .planning import (
     ModelSpec,
     TokenBudgetReport,
     budget_report,
+    capped_cluster,
     default_model_catalog,
     find_model,
     literal_plan,
     load_model_catalog,
     make_naive_plan,
-    max_piece_tokens,
     plan_conversation,
 )
 from .sequencing import SequencingResult, sequence
@@ -379,24 +379,11 @@ def cmd_sequence(settings: dict[str, Any]) -> int:
     return 0
 
 
-def _capped_cluster(
-    settings: dict[str, Any], conversation: ConversationModel
-) -> tuple[ClusterAssignment, int]:
-    spec = _model_spec(settings)
-    config = _budget_config(settings, conversation)
-    cap = max_piece_tokens(config, spec)
-    counts = conversation.token_counts()
-    for element_id, count in counts.items():
-        if count > cap:
-            raise UnsplittablePiece(element_id)
-    params = replace(_cluster_params(settings), max_cluster_tokens=cap)
-    matrix = build_dsm(conversation.elements)
-    return cluster(matrix, params, token_counts=counts), cap
-
-
 def cmd_cluster(settings: dict[str, Any]) -> int:
     conversation = _conversation(settings)
-    assignment, cap = _capped_cluster(settings, conversation)
+    spec = _model_spec(settings)
+    config = _budget_config(settings, conversation)
+    _, assignment, cap = capped_cluster(conversation, _cluster_params(settings), config, spec)
     if settings["format"] == "json":
         _emit_json(
             {

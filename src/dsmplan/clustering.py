@@ -16,11 +16,26 @@ deterministic for a fixed seed: every restart chain draws from its own
 ties to the lowest chain index, and the two trivial assignments (all
 singletons, one big cluster) are always scored as explicit candidates so the
 result can never be worse than either.
+
+Determinism contract.  A chain draws, in this order: the initial labels
+(uncapped runs only; capped runs start from singletons), then all element
+picks, all target draws ``u`` and all acceptance draws at once.  A proposal
+moves its picked element ``e`` out of its ``source`` cluster; its targets are
+the active labels in ascending order without ``source``, followed by the
+lowest free label when ``source`` has other members, and it takes target
+``int(u * len(targets))``.  Faster bookkeeping must keep this rule and draw
+order, so a seed gives the same plans across versions.
+
+Cost.  A proposal costs O(deg(e) + log n): the target is found by bisection
+in sorted lists of active and free labels, and the interaction delta is a scan
+of ``e``'s neighbours.  Only a move that empties a cluster or opens one edits
+those lists, in O(n).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -117,7 +132,10 @@ def clustering_cost(
     """Direct-summation cost of a complete assignment (no incremental state).
 
     This is the ground-truth scorer: the annealer's bookkeeping is always
-    re-checked against it before a result is returned.
+    re-checked against this direct summation before a result is returned,
+    and a drifted chain raises ``RuntimeError``.  The one exception is token
+    sizing on an all-zero token corpus, where the chain scores no size change
+    but this scorer falls back to counting clusters.
     """
     missing = tuple(e for e in dsm.element_ids if e not in assignment)
     if missing:
@@ -153,81 +171,100 @@ def _cap_ok(labels: np.ndarray, tok: np.ndarray | None, cap: int | None) -> bool
     return True
 
 
+def _neighbours(dsm: Dsm) -> list[list[tuple[int, int]]]:
+    """Per element ``e``, the ``(j, w)`` pairs with ``w = weights[e, j] + weights[j, e] > 0``."""
+    sym = dsm.weights + dsm.weights.T
+    rows, cols = np.nonzero(sym)
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(dsm.n)]
+    for i, j, w in zip(rows.tolist(), cols.tolist(), sym[rows, cols].tolist()):
+        nbrs[i].append((j, w))
+    return nbrs
+
+
 def _anneal_chain(
-    sym: np.ndarray,
+    nbrs: list[list[tuple[int, int]]],
+    total: int,
     params: ClusterParams,
     tok: np.ndarray | None,
     chain_index: int,
-) -> np.ndarray:
-    """One annealing restart; returns the best label vector seen."""
-    n = sym.shape[0]
+) -> tuple[np.ndarray, float]:
+    """One annealing restart; returns the best label vector seen and its tracked J."""
+    n = len(nbrs)
     rng = np.random.default_rng(np.random.SeedSequence([params.seed, chain_index]))
     cap = params.max_cluster_tokens
     iters = params.iterations_per_restart
 
     if cap is None:
-        labels = rng.integers(0, n, size=n).astype(np.int64)
+        start = rng.integers(0, n, size=n)
     else:
-        labels = np.arange(n, dtype=np.int64)  # singletons are always cap-feasible here
-    count = np.bincount(labels, minlength=n).astype(np.int64)
-    toksum = np.zeros(n, dtype=np.int64)
-    if tok is not None:
-        np.add.at(toksum, labels, tok)
+        start = np.arange(n)  # singletons are always cap-feasible here
+    size_sq = _size_sq(start, params, tok)
+    labels: list[int] = start.tolist()
+    tokens: list[int] = tok.tolist() if tok is not None else [0] * n
+    count = [0] * n
+    toksum = [0] * n
+    for pos, label in enumerate(labels):
+        count[label] += 1
+        toksum[label] += tokens[pos]
     mean_tok = float(np.mean(tok)) if tok is not None and n else 1.0
     if mean_tok == 0.0:
         mean_tok = 1.0
 
     # exact integer interaction bookkeeping: I0 = total - intra
-    total = int(sym.sum()) // 2
     intra = 0
-    seen_members: dict[int, list[int]] = {}
-    for pos, label in enumerate(labels.tolist()):
-        for other in seen_members.setdefault(label, []):
-            intra += int(sym[pos, other])
-        seen_members[label].append(pos)
+    for pos, row in enumerate(nbrs):
+        for other, w in row:
+            if other < pos and labels[other] == labels[pos]:
+                intra += w
     interaction = total - intra
-    size_sq = _size_sq(labels, params, tok)
-
-    # per-element sums of symmetric weight into each cluster, for O(1) deltas
-    cluster_weight = np.zeros((n, n), dtype=np.int64)
-    for pos in range(n):
-        cluster_weight[:, labels[pos]] += sym[:, pos]
 
     current_j = params.alpha * size_sq + params.beta * interaction
     best_j = current_j
     best_labels = labels.copy()
 
     if iters == 0 or n < 2:
-        return best_labels
+        return np.array(best_labels, dtype=np.int64), best_j
 
     temperature = max(1.0, 0.05 * current_j)
     cool = _COOL_RATIO ** (1.0 / iters)
 
-    picks = rng.integers(0, n, size=iters)
-    target_u = rng.random(iters)
-    accept_u = rng.random(iters)
+    picks = rng.integers(0, n, size=iters).tolist()
+    target_u = rng.random(iters).tolist()
+    accept_u = rng.random(iters).tolist()
+
+    active = sorted(set(labels))
+    free = sorted(set(range(n)).difference(active))
 
     for it in range(iters):
         temperature *= cool
-        e = int(picks[it])
-        source = int(labels[e])
-        targets = [c for c in range(n) if count[c] > 0 and c != source]
-        if count[source] > 1:
-            for c in range(n):  # lowest free label as the fresh cluster
-                if count[c] == 0:
-                    targets.append(c)
-                    break
-        if not targets:
+        e = picks[it]
+        source = labels[e]
+        # targets: active labels ascending without the source, then free[0]
+        # when the source keeps other members (so at most n-1 are active)
+        others = len(active) - 1
+        num_targets = others + (count[source] > 1)
+        if not num_targets:
             continue
-        target = targets[int(target_u[it] * len(targets))]
-        if cap is not None and toksum[target] + tok[e] > cap:  # type: ignore[index]
+        k = int(target_u[it] * num_targets)
+        if k < others:
+            target = active[k + (k >= bisect_left(active, source))]
+        else:
+            target = free[0]
+        if cap is not None and toksum[target] + tokens[e] > cap:
             continue  # infinite penalty: never even propose acceptance
 
-        d_interaction = int(cluster_weight[e, source] - cluster_weight[e, target])
+        # the zero diagonal keeps e itself out of its neighbour list
+        d_interaction = 0
+        for other, w in nbrs[e]:
+            label = labels[other]
+            if label == source:
+                d_interaction += w
+            elif label == target:
+                d_interaction -= w
         if params.size_mode == SIZE_MODE_COUNT:
-            d_size = 2 * (int(count[target]) - int(count[source]) + 1)
+            d_size = 2 * (count[target] - count[source] + 1)
         else:
-            te = tok[e] / mean_tok  # type: ignore[index]
+            te = tokens[e] / mean_tok
             s_src = toksum[source] / mean_tok
             s_tgt = toksum[target] / mean_tok
             d_size = 2.0 * te * (s_tgt - s_src + te)
@@ -239,11 +276,14 @@ def _anneal_chain(
         labels[e] = target
         count[source] -= 1
         count[target] += 1
-        if tok is not None:
-            toksum[source] -= tok[e]
-            toksum[target] += tok[e]
-        cluster_weight[:, source] -= sym[:, e]
-        cluster_weight[:, target] += sym[:, e]
+        toksum[source] -= tokens[e]
+        toksum[target] += tokens[e]
+        if count[target] == 1:
+            del free[0]
+            insort(active, target)
+        if count[source] == 0:
+            del active[bisect_left(active, source)]
+            insort(free, source)
         interaction += d_interaction
         size_sq += d_size
         current_j = params.alpha * size_sq + params.beta * interaction
@@ -251,7 +291,7 @@ def _anneal_chain(
             best_j = current_j
             best_labels = labels.copy()
 
-    return best_labels
+    return np.array(best_labels, dtype=np.int64), best_j
 
 
 def _finalize(
@@ -268,6 +308,24 @@ def _finalize(
         j_size_term=size_sq,
         j_interaction_term=float(interaction),
     )
+
+
+def _check_tracked(
+    tracked_j: float, j_total: float, params: ClusterParams, tok: np.ndarray | None
+) -> None:
+    """Raise if a chain's incremental J drifted from direct summation."""
+    if params.size_mode == SIZE_MODE_COUNT:
+        drifted = tracked_j != j_total  # integer-valued terms: exact
+    elif float(np.mean(tok)) == 0.0:  # type: ignore[arg-type]
+        # all-zero tokens: the chain's size deltas are zero while _size_sq
+        # falls back to counting clusters, so the two size terms differ
+        return
+    else:
+        drifted = not math.isclose(tracked_j, j_total, rel_tol=1e-9)
+    if drifted:
+        raise RuntimeError(
+            f"annealer bookkeeping drifted: tracked J {tracked_j!r}, recomputed {j_total!r}"
+        )
 
 
 def cluster(
@@ -293,23 +351,18 @@ def cluster(
     if n == 1:
         return _finalize(dsm, np.zeros(1, dtype=np.int64), params, tok)
 
-    sym = dsm.weights + dsm.weights.T
-
-    candidates: list[np.ndarray] = [
-        _anneal_chain(sym, params, tok, chain) for chain in range(params.restarts)
-    ]
-    candidates.append(np.arange(n, dtype=np.int64))  # all singletons
+    nbrs = _neighbours(dsm)
+    total = int(dsm.weights.sum())
+    scored: list[ClusterAssignment] = []
+    for chain in range(params.restarts):
+        labels, tracked_j = _anneal_chain(nbrs, total, params, tok, chain)
+        scored.append(_finalize(dsm, labels, params, tok))
+        _check_tracked(tracked_j, scored[-1].j_total, params, tok)
+    scored.append(_finalize(dsm, np.arange(n, dtype=np.int64), params, tok))  # all singletons
     one_cluster = np.zeros(n, dtype=np.int64)
     if _cap_ok(one_cluster, tok, cap):
-        candidates.append(one_cluster)
-
-    best: ClusterAssignment | None = None
-    for labels in candidates:
-        scored = _finalize(dsm, labels, params, tok)
-        if best is None or scored.j_total < best.j_total:
-            best = scored
-    assert best is not None
-    return best
+        scored.append(_finalize(dsm, one_cluster, params, tok))
+    return min(scored, key=lambda a: a.j_total)  # first minimum: ties go to the earlier candidate
 
 
 def assignment_from_groups(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .clustering import ClusterAssignment, ClusterParams, cluster
-from .dsm import build_dsm
+from .dsm import Dsm, build_dsm
 from .errors import DuplicateModelName, ParseError, UnknownModel, UnsplittablePiece
 from .manifest import ConversationElement, ConversationModel
 from .sequencing import SequencingResult, sequence
@@ -286,22 +286,36 @@ def literal_plan(
     return ConversationPlan(pieces=pieces, model=spec, config=config, conversation=conversation)
 
 
-def plan_conversation(
+def capped_cluster(
     conversation: ConversationModel,
     cluster_params: ClusterParams,
     config: BudgetConfig,
     spec: ModelSpec,
-) -> tuple[SequencingResult, ClusterAssignment, ConversationPlan]:
-    """Full pipeline: matrix, sequence, capped clustering, pieces."""
+) -> tuple[Dsm, ClusterAssignment, int]:
+    """Build the matrix and cluster it with each cluster's GM capped at
+    :func:`max_piece_tokens`; returns (matrix, clusters, cap).
+
+    Raises :class:`UnsplittablePiece` for an element above the cap on its own.
+    """
     counts = conversation.token_counts()
     cap = max_piece_tokens(config, spec)
     for element_id, count in counts.items():
         if count > cap:
             raise UnsplittablePiece(element_id)
     dsm = build_dsm(conversation.elements)
-    seq = sequence(dsm)
     params = replace(cluster_params, max_cluster_tokens=cap)
-    clusters = cluster(dsm, params, token_counts=counts)
+    return dsm, cluster(dsm, params, token_counts=counts), cap
+
+
+def plan_conversation(
+    conversation: ConversationModel,
+    cluster_params: ClusterParams,
+    config: BudgetConfig,
+    spec: ModelSpec,
+) -> tuple[SequencingResult, ClusterAssignment, ConversationPlan]:
+    """Full pipeline: matrix, capped clustering, sequence, pieces."""
+    dsm, clusters, _ = capped_cluster(conversation, cluster_params, config, spec)
+    seq = sequence(dsm)
     plan = make_pieces(conversation, seq, clusters, config, spec)
     return seq, clusters, plan
 

@@ -1,3 +1,4 @@
+import math
 import string
 
 import numpy as np
@@ -5,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsmplan import clustering
 from dsmplan.clustering import (
     ClusterParams,
     brute_force_cluster,
     cluster,
     clustering_cost,
+    _cap_ok,
+    _finalize,
     _growth_strings,
+    _size_sq,
+    _token_vector,
 )
 from dsmplan.dsm import Dsm
 from dsmplan.errors import EmptyMatrix, IncompleteAssignment, TooLarge
@@ -202,6 +208,157 @@ def test_search_bracketed_by_brute_force_and_baselines(d):
     assert result.j_total <= min(singletons, one_big) + 1e-9
     # reported costs are real: recompute from the returned assignment
     assert result.j_total == pytest.approx(clustering_cost(d, result.cluster_of, params))
+
+
+# ---------------------------------------------------------------------------
+# draw order: the annealer must replay the reference chain below exactly
+# ---------------------------------------------------------------------------
+
+
+def reference_chain(sym, params, tok, chain_index):
+    """The annealer as first written: an O(n) scan builds each proposal's
+    target list, and a dense (n, n) matrix holds each element's weight into
+    each cluster.  Same RNG draws, same target rule, same acceptance test."""
+    n = sym.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([params.seed, chain_index]))
+    cap = params.max_cluster_tokens
+    iters = params.iterations_per_restart
+    if cap is None:
+        labels = rng.integers(0, n, size=n).astype(np.int64)
+    else:
+        labels = np.arange(n, dtype=np.int64)
+    count = np.bincount(labels, minlength=n).astype(np.int64)
+    toksum = np.zeros(n, dtype=np.int64)
+    if tok is not None:
+        np.add.at(toksum, labels, tok)
+    mean_tok = float(np.mean(tok)) if tok is not None and n else 1.0
+    if mean_tok == 0.0:
+        mean_tok = 1.0
+    same = labels[:, None] == labels[None, :]
+    interaction = int(sym[~same].sum()) // 2
+    size_sq = _size_sq(labels, params, tok)
+    cluster_weight = np.zeros((n, n), dtype=np.int64)
+    for pos in range(n):
+        cluster_weight[:, labels[pos]] += sym[:, pos]
+    current_j = params.alpha * size_sq + params.beta * interaction
+    best_labels = labels.copy()
+    if iters == 0 or n < 2:
+        return best_labels
+    best_j = current_j
+    temperature = max(1.0, 0.05 * current_j)
+    cool = clustering._COOL_RATIO ** (1.0 / iters)
+    picks = rng.integers(0, n, size=iters)
+    target_u = rng.random(iters)
+    accept_u = rng.random(iters)
+    for it in range(iters):
+        temperature *= cool
+        e = int(picks[it])
+        source = int(labels[e])
+        targets = [c for c in range(n) if count[c] > 0 and c != source]
+        if count[source] > 1:
+            targets.append(next(c for c in range(n) if count[c] == 0))
+        if not targets:
+            continue
+        target = targets[int(target_u[it] * len(targets))]
+        if cap is not None and toksum[target] + tok[e] > cap:
+            continue
+        d_interaction = int(cluster_weight[e, source] - cluster_weight[e, target])
+        if params.size_mode == "count":
+            d_size = 2 * (int(count[target]) - int(count[source]) + 1)
+        else:
+            te = tok[e] / mean_tok
+            d_size = 2.0 * te * (toksum[target] / mean_tok - toksum[source] / mean_tok + te)
+        delta = params.alpha * d_size + params.beta * d_interaction
+        if delta > 0 and accept_u[it] >= math.exp(-delta / temperature):
+            continue
+        labels[e] = target
+        count[source] -= 1
+        count[target] += 1
+        if tok is not None:
+            toksum[source] -= tok[e]
+            toksum[target] += tok[e]
+        cluster_weight[:, source] -= sym[:, e]
+        cluster_weight[:, target] += sym[:, e]
+        interaction += d_interaction
+        size_sq += d_size
+        current_j = params.alpha * size_sq + params.beta * interaction
+        if current_j < best_j:
+            best_j = current_j
+            best_labels = labels.copy()
+    return best_labels
+
+
+def reference_cluster(d, params, token_counts):
+    tok = _token_vector(d, token_counts, params)
+    if d.n == 1:
+        return _finalize(d, np.zeros(1, dtype=np.int64), params, tok)
+    sym = d.weights + d.weights.T
+    candidates = [reference_chain(sym, params, tok, chain) for chain in range(params.restarts)]
+    candidates.append(np.arange(d.n, dtype=np.int64))
+    if _cap_ok(np.zeros(d.n, dtype=np.int64), tok, params.max_cluster_tokens):
+        candidates.append(np.zeros(d.n, dtype=np.int64))
+    scored = [_finalize(d, labels, params, tok) for labels in candidates]
+    return min(scored, key=lambda a: a.j_total)
+
+
+@st.composite
+def anneal_case(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    w = np.where(rng.random((n, n)) < density, rng.integers(1, 60, size=(n, n)), 0)
+    np.fill_diagonal(w, 0)
+    ids = tuple(f"e{k}" for k in range(n))
+    tokens = rng.integers(0, 400, size=n)
+    cap = None
+    if draw(st.booleans()):
+        cap = max(1, int(tokens.max())) * draw(st.integers(min_value=1, max_value=4))
+    params = ClusterParams(
+        size_mode=draw(st.sampled_from(["count", "tokens"])),
+        max_cluster_tokens=cap,
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+        restarts=draw(st.integers(min_value=1, max_value=3)),
+        iterations_per_restart=draw(st.sampled_from([0, 1, 50, 500])),
+    )
+    return Dsm(ids, w.astype(np.int64)), params, dict(zip(ids, tokens.tolist()))
+
+
+@given(anneal_case())
+@settings(max_examples=150, deadline=None)
+def test_search_replays_reference_chain(case):
+    d, params, counts = case
+    got = cluster(d, params, token_counts=counts)
+    want = reference_cluster(d, params, counts)
+    assert got.cluster_of == want.cluster_of
+    assert got.j_total == want.j_total
+
+
+@pytest.mark.parametrize(
+    "size_mode, skew, raises",
+    [
+        ("count", lambda j: j + 0.5, True),
+        ("tokens", lambda j: j * (1 + 1e-6), True),
+        ("tokens", lambda j: j * (1 + 1e-12), False),  # float accumulation slack
+    ],
+)
+def test_bookkeeping_drift_raises(monkeypatch, spacecraft, spacecraft_dsm, size_mode, skew, raises):
+    real_chain = clustering._anneal_chain
+
+    def skewed_chain(*args):
+        labels, tracked_j = real_chain(*args)
+        return labels, skew(tracked_j)
+
+    monkeypatch.setattr(clustering, "_anneal_chain", skewed_chain)
+    params = ClusterParams(size_mode=size_mode, restarts=2, iterations_per_restart=200)
+    counts = spacecraft.token_counts()
+    if raises:
+        with pytest.raises(RuntimeError, match="drifted"):
+            cluster(spacecraft_dsm, params, token_counts=counts)
+    else:
+        monkeypatch.undo()
+        want = cluster(spacecraft_dsm, params, token_counts=counts)
+        monkeypatch.setattr(clustering, "_anneal_chain", skewed_chain)
+        assert cluster(spacecraft_dsm, params, token_counts=counts) == want
 
 
 # ---------------------------------------------------------------------------
