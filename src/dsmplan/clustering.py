@@ -103,24 +103,34 @@ def _token_vector(
     return np.array([token_counts[e] for e in dsm.element_ids], dtype=np.int64)
 
 
+def _mean_tokens(params: ClusterParams, tok: np.ndarray | None) -> float:
+    """The token-sum size unit, or 0.0 when clusters are sized by element count.
+
+    An all-zero token corpus is sized by count too: with every element the
+    same size, the two modes agree, as they do on any uniform corpus.
+    """
+    if params.size_mode == SIZE_MODE_COUNT or tok is None or not len(tok):
+        return 0.0
+    return float(np.mean(tok))
+
+
 def _size_sq(labels: np.ndarray, params: ClusterParams, tok: np.ndarray | None) -> float:
+    mean = _mean_tokens(params, tok)
     counts: dict[int, float] = {}
     for pos, label in enumerate(labels.tolist()):
-        if params.size_mode == SIZE_MODE_COUNT:
+        if mean == 0.0:
             counts[label] = counts.get(label, 0) + 1
         else:
             counts[label] = counts.get(label, 0) + int(tok[pos])  # type: ignore[index]
-    if params.size_mode == SIZE_MODE_TOKENS:
-        mean = float(np.mean(tok)) if tok is not None and len(tok) else 0.0
-        if mean == 0.0:
-            return float(len(counts))  # degenerate all-zero corpus: fall back to counts
-        return float(sum((c / mean) ** 2 for c in counts.values()))
-    return float(sum(c * c for c in counts.values()))
+    if mean == 0.0:
+        return float(sum(c * c for c in counts.values()))
+    return float(sum((c / mean) ** 2 for c in counts.values()))
 
 
-def _interaction(weights: np.ndarray, labels: np.ndarray) -> int:
-    outside = labels[:, None] != labels[None, :]
-    return int(weights[outside].sum())
+def _interaction(dsm: Dsm, labels: np.ndarray) -> int:
+    """Total weight of the marks whose two ends sit in different clusters."""
+    rows, cols, vals = dsm.marks
+    return int(vals[labels[rows] != labels[cols]].sum())
 
 
 def clustering_cost(
@@ -133,9 +143,7 @@ def clustering_cost(
 
     This is the ground-truth scorer: the annealer's bookkeeping is always
     re-checked against this direct summation before a result is returned,
-    and a drifted chain raises ``RuntimeError``.  The one exception is token
-    sizing on an all-zero token corpus, where the chain scores no size change
-    but this scorer falls back to counting clusters.
+    and a drifted chain raises ``RuntimeError``.
     """
     missing = tuple(e for e in dsm.element_ids if e not in assignment)
     if missing:
@@ -145,7 +153,7 @@ def clustering_cost(
     if params.size_mode == SIZE_MODE_TOKENS and tok is None:
         raise ValueError("token counts required for token-sum sizing")
     size_sq = _size_sq(labels, params, tok)
-    interaction = _interaction(dsm.weights, labels)
+    interaction = _interaction(dsm, labels)
     return params.alpha * size_sq + params.beta * interaction
 
 
@@ -172,13 +180,14 @@ def _cap_ok(labels: np.ndarray, tok: np.ndarray | None, cap: int | None) -> bool
 
 
 def _neighbours(dsm: Dsm) -> list[list[tuple[int, int]]]:
-    """Per element ``e``, the ``(j, w)`` pairs with ``w = weights[e, j] + weights[j, e] > 0``."""
-    sym = dsm.weights + dsm.weights.T
-    rows, cols = np.nonzero(sym)
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(dsm.n)]
-    for i, j, w in zip(rows.tolist(), cols.tolist(), sym[rows, cols].tolist()):
-        nbrs[i].append((j, w))
-    return nbrs
+    """Per element ``e``, the ``(j, w)`` pairs with ``w = weights[e, j] + weights[j, e] > 0``,
+    in ascending ``j``."""
+    rows, cols, vals = dsm.marks
+    sums: list[dict[int, int]] = [{} for _ in range(dsm.n)]
+    for i, j, w in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        sums[i][j] = sums[i].get(j, 0) + w
+        sums[j][i] = sums[j].get(i, 0) + w
+    return [sorted(row.items()) for row in sums]
 
 
 def _anneal_chain(
@@ -206,9 +215,7 @@ def _anneal_chain(
     for pos, label in enumerate(labels):
         count[label] += 1
         toksum[label] += tokens[pos]
-    mean_tok = float(np.mean(tok)) if tok is not None and n else 1.0
-    if mean_tok == 0.0:
-        mean_tok = 1.0
+    mean_tok = _mean_tokens(params, tok)  # 0.0: clusters are sized by count
 
     # exact integer interaction bookkeeping: I0 = total - intra
     intra = 0
@@ -261,7 +268,7 @@ def _anneal_chain(
                 d_interaction += w
             elif label == target:
                 d_interaction -= w
-        if params.size_mode == SIZE_MODE_COUNT:
+        if mean_tok == 0.0:
             d_size = 2 * (count[target] - count[source] + 1)
         else:
             te = tokens[e] / mean_tok
@@ -300,7 +307,7 @@ def _finalize(
     canon, num_clusters = _canonical(labels)
     cluster_of = {e: int(canon[k]) for k, e in enumerate(dsm.element_ids)}
     size_sq = _size_sq(canon, params, tok)
-    interaction = _interaction(dsm.weights, canon)
+    interaction = _interaction(dsm, canon)
     return ClusterAssignment(
         cluster_of=cluster_of,
         num_clusters=num_clusters,
@@ -314,12 +321,8 @@ def _check_tracked(
     tracked_j: float, j_total: float, params: ClusterParams, tok: np.ndarray | None
 ) -> None:
     """Raise if a chain's incremental J drifted from direct summation."""
-    if params.size_mode == SIZE_MODE_COUNT:
+    if _mean_tokens(params, tok) == 0.0:
         drifted = tracked_j != j_total  # integer-valued terms: exact
-    elif float(np.mean(tok)) == 0.0:  # type: ignore[arg-type]
-        # all-zero tokens: the chain's size deltas are zero while _size_sq
-        # falls back to counting clusters, so the two size terms differ
-        return
     else:
         drifted = not math.isclose(tracked_j, j_total, rel_tol=1e-9)
     if drifted:
@@ -352,7 +355,7 @@ def cluster(
         return _finalize(dsm, np.zeros(1, dtype=np.int64), params, tok)
 
     nbrs = _neighbours(dsm)
-    total = int(dsm.weights.sum())
+    total = int(dsm.marks[2].sum())
     scored: list[ClusterAssignment] = []
     for chain in range(params.restarts):
         labels, tracked_j = _anneal_chain(nbrs, total, params, tok, chain)
@@ -383,7 +386,7 @@ def assignment_from_groups(
     flat: dict[str, int] = {}
     for index, group in enumerate(groups):
         for element_id in group:
-            if element_id in flat or element_id not in dsm.element_ids:
+            if element_id in flat or element_id not in dsm.positions:
                 raise ValueError(f"groups must cover each element exactly once; bad id {element_id!r}")
             flat[element_id] = index
     missing = tuple(e for e in dsm.element_ids if e not in flat)
@@ -436,9 +439,7 @@ def brute_force_cluster(
         labels = np.array(vector, dtype=np.int64)
         if not _cap_ok(labels, tok, cap):
             continue
-        j = params.alpha * _size_sq(labels, params, tok) + params.beta * _interaction(
-            dsm.weights, labels
-        )
+        j = params.alpha * _size_sq(labels, params, tok) + params.beta * _interaction(dsm, labels)
         if j < best_j:
             best_j = j
             best_labels = labels

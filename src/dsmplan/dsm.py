@@ -5,11 +5,21 @@ A Dsm is a square matrix over the conversation elements, read row-to-column:
 form built by :func:`build_dsm` stores, in every cell of column j, the token
 count of provider j — the worst-case cost of re-sending j's text.  The binary
 form keeps only the marks.
+
+Every Dsm also carries ``marks = (rows, cols, vals)``: its nonzero cells in
+row-major order, as read-only int64 arrays, built once when the Dsm is made.
+They are exactly the cells where ``weights != 0``, and ``vals[k]`` is
+``weights[rows[k], cols[k]]``.  Stages that need only the dependencies read
+the marks, so their cost is O(marks), not O(n²): validation, equality and
+hashing, :func:`above_diagonal_marks`, sequencing and the clustering scores.
+The dense ``weights`` stay for the stages that emit or reshape the whole
+matrix: CSV and the CLI's ``dsm`` output, :func:`permute`, :func:`to_binary`
+and reachability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -41,40 +51,51 @@ class Dsm:
     element_ids: tuple[str, ...]
     weights: np.ndarray  # (n, n) non-negative int64, zero diagonal
     kind: str = NUMERICAL
+    # (rows, cols, vals) of the nonzero cells, row-major; see the module docstring
+    marks: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)  # id -> row/column
 
     def __post_init__(self) -> None:
         ids = tuple(self.element_ids)
         object.__setattr__(self, "element_ids", ids)
-        seen = set()
+        positions: dict[str, int] = {}
         for element_id in ids:
-            if element_id in seen:
+            if element_id in positions:
                 raise DuplicateId(element_id)
-            seen.add(element_id)
-        w = np.array(self.weights, dtype=np.int64)
+            positions[element_id] = len(positions)
+        w = np.asarray(self.weights, dtype=np.int64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise NonSquare(f"weights shape {w.shape} is not square")
-        if w.shape[0] != len(ids):
-            raise NonSquare(f"{len(ids)} element ids but {w.shape[0]} matrix rows")
-        if (w < 0).any():
+        n = w.shape[0]
+        if n != len(ids):
+            raise NonSquare(f"{len(ids)} element ids but {n} matrix rows")
+        # one scan, before the copy below, so its n² bool mask and the copy
+        # are never held at once; a bool scan is several times faster than
+        # an int64 one
+        flat = np.flatnonzero(w != 0)
+        rows, cols = np.divmod(flat, max(n, 1))
+        vals = w[rows, cols]
+        if (vals < 0).any():
             raise NegativeWeight("matrix weights must be non-negative")
-        if w.shape[0] and np.diagonal(w).any():
+        if (rows == cols).any():
             raise NonzeroDiagonal("matrix diagonal must be zero")
         if self.kind not in (BINARY, NUMERICAL):
             raise ValueError(f"unknown matrix kind {self.kind!r}")
-        if self.kind == BINARY and (w > 1).any():
+        if self.kind == BINARY and (vals > 1).any():
             raise ValueError("binary matrix may only contain 0/1")
-        w.setflags(write=False)
+        w = np.array(w)  # the Dsm's own copy: the caller may still change its array
+        for array in (w, rows, cols, vals):
+            array.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "marks", (rows, cols, vals))
+        object.__setattr__(self, "positions", positions)
 
     @property
     def n(self) -> int:
         return len(self.element_ids)
 
     def index(self, element_id: str) -> int:
-        try:
-            return self.element_ids.index(element_id)
-        except ValueError:
-            raise KeyError(element_id) from None
+        return self.positions[element_id]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dsm):
@@ -82,11 +103,11 @@ class Dsm:
         return (
             self.element_ids == other.element_ids
             and self.kind == other.kind
-            and bool(np.array_equal(self.weights, other.weights))
+            and all(np.array_equal(a, b) for a, b in zip(self.marks, other.marks))
         )
 
     def __hash__(self) -> int:  # frozen dataclass with eq=False would otherwise use identity
-        return hash((self.element_ids, self.kind, self.weights.tobytes()))
+        return hash((self.element_ids, self.kind, *(a.tobytes() for a in self.marks)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +179,8 @@ def permute(dsm: Dsm, permutation: Permutation) -> Dsm:
 
 def above_diagonal_marks(dsm: Dsm) -> int:
     """Number of nonzero cells strictly above the diagonal (feedback marks)."""
-    return int(np.count_nonzero(np.triu(dsm.weights, k=1)))
+    rows, cols, _ = dsm.marks
+    return int(np.count_nonzero(rows < cols))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Dependencies point column-to-row: an edge j -> i exists when weights[i][j] is
 nonzero.  Sequencing condenses strongly connected components (coupled element
 groups that cannot be serialized) and levels the resulting DAG by longest path
 from the sources.  Flattening the levels gives an order in which every
-provider precedes its consumers except inside cycles.
+provider precedes its consumers except inside cycles.  It reads the edges from
+the DSM's marks, so it runs in O(n + marks); only :func:`reachability` works
+on the dense matrix.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ def level_partition(dsm: Dsm) -> SequencingResult:
     groups stay contiguous.
     """
     n = dsm.n
-    w = dsm.weights
+    rows, cols, _ = dsm.marks
+    consumers, providers = rows.tolist(), cols.tolist()
     succ: list[list[int]] = [[] for _ in range(n)]  # provider -> consumers
-    consumers, providers = np.nonzero(w)
-    for i, j in zip(consumers.tolist(), providers.tolist()):
+    for i, j in zip(consumers, providers):
         succ[j].append(i)
 
     components = _tarjan_sccs(succ)
@@ -113,7 +115,7 @@ def level_partition(dsm: Dsm) -> SequencingResult:
 
     preds: list[set[int]] = [set() for _ in components]
     succs: list[set[int]] = [set() for _ in components]
-    for i, j in zip(consumers.tolist(), providers.tolist()):
+    for i, j in zip(consumers, providers):
         ci, cj = comp_of[i], comp_of[j]
         if ci != cj:
             preds[ci].add(cj)

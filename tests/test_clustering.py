@@ -361,6 +361,20 @@ def test_bookkeeping_drift_raises(monkeypatch, spacecraft, spacecraft_dsm, size_
         assert cluster(spacecraft_dsm, params, token_counts=counts) == want
 
 
+def test_zero_token_corpus_is_sized_by_count(monkeypatch, spacecraft_dsm):
+    zeros = {e: 0 for e in spacecraft_dsm.element_ids}
+    by_count = ClusterParams(restarts=4, iterations_per_restart=500)
+    by_tokens = ClusterParams(size_mode="tokens", restarts=4, iterations_per_restart=500)
+    want = cluster(spacecraft_dsm, by_count)
+    assert cluster(spacecraft_dsm, by_tokens, token_counts=zeros) == want
+    assert clustering_cost(spacecraft_dsm, want.cluster_of, by_tokens, zeros) == want.j_total
+    # the drift check runs on this corpus too
+    real_chain = clustering._anneal_chain
+    monkeypatch.setattr(clustering, "_anneal_chain", lambda *args: (real_chain(*args)[0], -1.0))
+    with pytest.raises(RuntimeError, match="drifted"):
+        cluster(spacecraft_dsm, by_tokens, token_counts=zeros)
+
+
 # ---------------------------------------------------------------------------
 # token cap
 # ---------------------------------------------------------------------------

@@ -106,6 +106,18 @@ def test_csv_fixture_files_match_built_matrix(spacecraft_dsm):
         assert fh.read() == write_dsm_csv(spacecraft_dsm)
 
 
+@pytest.mark.parametrize("cell, value", [((3, 2), 1), ((0, 1), 5), ((3, 2), 0)])  # (3, 2): D on C
+def test_equality_and_hash_follow_the_marks(spacecraft_dsm, cell, value):
+    back = dsm_from_csv_text(write_dsm_csv(spacecraft_dsm))
+    assert back == spacecraft_dsm
+    assert hash(back) == hash(spacecraft_dsm)
+    w = spacecraft_dsm.weights.copy()
+    w[cell] = value  # change a mark's weight, add a mark, remove a mark
+    changed = Dsm(spacecraft_dsm.element_ids, w)
+    assert changed != spacecraft_dsm
+    assert changed != back
+
+
 def test_csv_kind_inference():
     marks = dsm_from_csv_text(",a,b\na,,1\nb,1,\n")
     assert marks.kind == BINARY
