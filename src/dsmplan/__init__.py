@@ -47,7 +47,7 @@ from .planning import (
     plan_conversation,
     window_budget,
 )
-from .sequencing import SequencingResult, level_partition, reachability, sequence
+from .sequencing import SequencingResult, reachability, sequence
 from .simulator import MetricDelta, SimulationReport, SimulationStep, compare, simulate
 from .tokens import TokenCountProvider, count_for_element, count_tokens_approx, load_token_table
 
@@ -86,7 +86,6 @@ __all__ = [
     "default_model_catalog",
     "errors",
     "find_model",
-    "level_partition",
     "literal_plan",
     "load_model_catalog",
     "load_token_table",

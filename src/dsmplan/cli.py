@@ -14,13 +14,12 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 from typing import Any
 
 from .clustering import ClusterParams
 from .dsm import Dsm, build_dsm, permute, to_binary, write_dsm_csv
 from .errors import DsmPlanError, ParseError, PieceExceedsWindow, UnsplittablePiece
-from .manifest import ConversationModel, parse_manifest
+from .manifest import ConversationModel, parse_manifest, read_json_file
 from .planning import (
     BudgetConfig,
     ConversationPlan,
@@ -130,12 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict[str, Any]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path}: {exc.msg}", line=exc.lineno) from None
+    raw = read_json_file(path, "config")
     if not isinstance(raw, dict):
         raise ParseError(f"config {path}: root must be an object")
     unknown = sorted(set(raw) - set(_DEFAULTS))
@@ -429,6 +423,15 @@ def _build_plans(
     return naive, optimized
 
 
+def _print_report(plan: ConversationPlan, fmt: str) -> int:
+    report = budget_report(plan)
+    if fmt == "json":
+        _emit_json(_report_payload(plan, report))
+    else:
+        _emit(_budget_text(plan, report))
+    return 0 if report.feasible else 1
+
+
 def cmd_plan(settings: dict[str, Any]) -> int:
     conversation = _conversation(settings)
     spec = _model_spec(settings)
@@ -437,43 +440,21 @@ def cmd_plan(settings: dict[str, Any]) -> int:
         plan = make_naive_plan(conversation, config, spec)
     else:
         _, _, plan = plan_conversation(conversation, _cluster_params(settings), config, spec)
-    report = budget_report(plan)
-    if settings["format"] == "json":
-        _emit_json(_report_payload(plan, report))
-    else:
-        _emit(_budget_text(plan, report))
-    return 0 if report.feasible else 1
+    return _print_report(plan, settings["format"])
 
 
 def cmd_budget(settings: dict[str, Any]) -> int:
-    if settings["fm"] is not None:
-        try:
-            fm_values = [int(v) for v in str(settings["fm"]).split(",") if v.strip() != ""]
-        except ValueError:
-            raise ParseError(f"--fm expects comma-separated integers, got {settings['fm']!r}") from None
-        if not fm_values:
-            raise ParseError("--fm needs at least one value")
-        spec = _model_spec(settings)
-        config = BudgetConfig(
-            margin=settings["margin"],
-            fm_ratio=settings["fm_ratio"],
-            instructions_per_piece=settings["instructions"] or 0,
-        )
-        plan = literal_plan(fm_values, config, spec, ust_tokens=settings["ust"] or 0)
-    else:
-        conversation = _conversation(settings)
-        spec = _model_spec(settings)
-        config = _budget_config(settings, conversation)
-        if settings["naive"]:
-            plan = make_naive_plan(conversation, config, spec)
-        else:
-            _, _, plan = plan_conversation(conversation, _cluster_params(settings), config, spec)
-    report = budget_report(plan)
-    if settings["format"] == "json":
-        _emit_json(_report_payload(plan, report))
-    else:
-        _emit(_budget_text(plan, report))
-    return 0 if report.feasible else 1
+    if settings["fm"] is None:
+        return cmd_plan(settings)
+    try:
+        fm_values = [int(v) for v in str(settings["fm"]).split(",") if v.strip() != ""]
+    except ValueError:
+        raise ParseError(f"--fm expects comma-separated integers, got {settings['fm']!r}") from None
+    if not fm_values:
+        raise ParseError("--fm needs at least one value")
+    spec = _model_spec(settings)
+    plan = literal_plan(fm_values, _budget_config(settings, None), spec, ust_tokens=settings["ust"] or 0)
+    return _print_report(plan, settings["format"])
 
 
 def cmd_simulate(settings: dict[str, Any]) -> int:

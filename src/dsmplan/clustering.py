@@ -150,8 +150,6 @@ def clustering_cost(
         raise IncompleteAssignment(missing)
     labels = np.array([assignment[e] for e in dsm.element_ids], dtype=np.int64)
     tok = _token_vector(dsm, token_counts, params) if params.size_mode == SIZE_MODE_TOKENS else None
-    if params.size_mode == SIZE_MODE_TOKENS and tok is None:
-        raise ValueError("token counts required for token-sum sizing")
     size_sq = _size_sq(labels, params, tok)
     interaction = _interaction(dsm, labels)
     return params.alpha * size_sq + params.beta * interaction

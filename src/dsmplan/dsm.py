@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -33,12 +33,8 @@ from .errors import (
     NonSquare,
     NonzeroDiagonal,
     ParseError,
-    SelfDependency,
-    UnknownDependency,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .manifest import ConversationElement
+from .manifest import ConversationElement, check_references
 
 BINARY = "binary"
 NUMERICAL = "numerical"
@@ -132,7 +128,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-def build_dsm(elements: Iterable["ConversationElement"]) -> Dsm:
+def build_dsm(elements: Iterable[ConversationElement]) -> Dsm:
     """Build the numerical DSM of a conversation.
 
     Cell [i][j] holds the token count of element j when i depends on j, else 0;
@@ -140,26 +136,16 @@ def build_dsm(elements: Iterable["ConversationElement"]) -> Dsm:
     A provider whose token count is zero therefore leaves no mark.
     """
     elements = list(elements)
-    ids = [e.id for e in elements]
-    seen: set[str] = set()
-    for element_id in ids:
-        if element_id in seen:
-            raise DuplicateId(element_id)
-        seen.add(element_id)
-    index = {element_id: i for i, element_id in enumerate(ids)}
+    index = check_references(elements)
     n = len(elements)
     w = np.zeros((n, n), dtype=np.int64)
     for i, element in enumerate(elements):
         for dep in element.dependencies:
-            if dep == element.id:
-                raise SelfDependency(element.id)
-            if dep not in index:
-                raise UnknownDependency(element.id, dep)
             j = index[dep]
             if elements[j].token_count is None:
-                raise MissingTokenCount(ids[j])
+                raise MissingTokenCount(dep)
             w[i, j] = elements[j].token_count
-    return Dsm(tuple(ids), w, kind=NUMERICAL)
+    return Dsm(tuple(index), w, kind=NUMERICAL)
 
 
 def to_binary(dsm: Dsm) -> Dsm:

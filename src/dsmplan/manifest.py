@@ -26,15 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
-from .errors import (
-    DuplicateId,
-    MissingTokenCount,
-    ParseError,
-    SelfDependency,
-    UnknownDependency,
-)
+from .errors import DuplicateId, ParseError, SelfDependency, UnknownDependency
 from .tokens import APPROXIMATE, TokenCountProvider, count_for_element, count_tokens_approx
 
 
@@ -49,7 +43,8 @@ class ConversationElement:
     token_count: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dependencies", tuple(self.dependencies))
+        # a repeated dependency is one dependency: one DSM mark, one miss when lost
+        object.__setattr__(self, "dependencies", tuple(dict.fromkeys(self.dependencies)))
         if self.token_count is not None and self.token_count < 0:
             raise ValueError(f"element {self.id!r} has negative token count")
 
@@ -79,6 +74,40 @@ class ConversationModel:
 
     def total_tokens(self) -> int:
         return sum(e.token_count or 0 for e in self.elements)
+
+
+def check_references(elements: Sequence[ConversationElement]) -> dict[str, int]:
+    """Check that ids are unique and every dependency names another element;
+    returns id -> position.
+
+    Raises DuplicateId first, then SelfDependency or UnknownDependency for the
+    first bad dependency in element order.
+    """
+    positions: dict[str, int] = {}
+    for element in elements:
+        if element.id in positions:
+            raise DuplicateId(element.id)
+        positions[element.id] = len(positions)
+    for element in elements:
+        for dep in element.dependencies:
+            if dep == element.id:
+                raise SelfDependency(element.id)
+            if dep not in positions:
+                raise UnknownDependency(element.id, dep)
+    return positions
+
+
+def read_json_file(path: str | Path, what: str) -> Any:
+    """The JSON document in ``path``; any way reading or decoding it fails is a
+    ParseError naming ``what`` (e.g. "manifest")."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path}: {exc.msg}", line=exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deeply, huge integer
+        raise ParseError(f"{what} {path}: {exc}") from None
 
 
 def _statement_tokens(raw: Any, what: str) -> int:
@@ -127,14 +156,7 @@ def parse_manifest(
 ) -> ConversationModel:
     """Parse ``path`` into a ConversationModel with resolved token counts."""
     provider = provider or TokenCountProvider.approximate()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from None
+    doc = read_json_file(path, "manifest")
     if not isinstance(doc, dict):
         raise ParseError("manifest root must be an object")
     raw_elements = doc.get("elements")
@@ -142,34 +164,14 @@ def parse_manifest(
         raise ParseError("manifest needs an 'elements' list")
 
     elements = [_parse_element(raw, k) for k, raw in enumerate(raw_elements)]
-    seen: set[str] = set()
-    for element in elements:
-        if element.id in seen:
-            raise DuplicateId(element.id)
-        seen.add(element.id)
-    for element in elements:
-        for dep in element.dependencies:
-            if dep == element.id:
-                raise SelfDependency(element.id)
-            if dep not in seen:
-                raise UnknownDependency(element.id, dep)
-
+    check_references(elements)
     resolved = []
     for element in elements:
-        if provider.mode == APPROXIMATE:
-            if element.text is not None and element.token_count is not None:
-                raise ParseError(f"element {element.id!r} has both text and a literal token count")
-            if element.text is None and element.token_count is None:
-                raise MissingTokenCount(element.id)
+        if provider.mode == APPROXIMATE and element.text is not None and element.token_count is not None:
+            raise ParseError(f"element {element.id!r} has both text and a literal token count")
         count = count_for_element(element, provider)
         resolved.append(
-            ConversationElement(
-                id=element.id,
-                label=element.label,
-                dependencies=element.dependencies,
-                text=element.text,
-                token_count=count,
-            )
+            ConversationElement(element.id, element.label, element.dependencies, element.text, count)
         )
     return ConversationModel(
         elements=tuple(resolved),

@@ -13,11 +13,18 @@ Glossary used throughout (all counts are tokens):
 A plan is feasible when every piece has OB <= OL and the whole conversation
 has WB <= CW.  Margins are treated as exact decimals (``Fraction(str(m))``)
 so e.g. a 5% margin on 20 tokens is exactly 21, not a float whisker above.
+
+OB never decreases as GM grows, so "OB <= OL" is the same as "GM <= cap" for
+one integer, :func:`max_piece_tokens`: with ``fm_max = floor(OL / (1 + MG))``
+(the largest FM whose OB fits), ``cap = ceil((fm_max + 1/2) / fm_ratio) - 1``
+(the largest GM that rounds to an FM no larger).  Clustering and cutting both
+compare GM against that cap and nothing else.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -105,20 +112,18 @@ def _exact(ratio: float) -> Fraction:
 
 def _inflate(tokens: int, margin: float) -> int:
     """ceil(tokens * (1 + margin)) with the margin read as an exact decimal."""
-    value = tokens * (1 + _exact(margin))
-    return -((-value.numerator) // value.denominator)
+    return math.ceil(tokens * (1 + _exact(margin)))
 
 
 def _filled_tokens(gm_tokens: int, fm_ratio: float) -> int:
-    value = gm_tokens * _exact(fm_ratio) + Fraction(1, 2)  # round half up
-    return value.numerator // value.denominator
+    return math.floor(gm_tokens * _exact(fm_ratio) + Fraction(1, 2))  # round half up
 
 
 def max_piece_tokens(config: BudgetConfig, spec: ModelSpec) -> int:
-    """Largest GM a cluster may reach before its reply budget overflows OL
-    (at fm_ratio 1): floor(OL / (1 + margin))."""
-    limit = Fraction(spec.max_output_tokens) / (1 + _exact(config.margin))
-    return limit.numerator // limit.denominator
+    """Largest GM whose reply fits: a piece has OB <= OL exactly when its GM is
+    at most this cap (see the module docstring for the closed form)."""
+    fm_max = math.floor(spec.max_output_tokens / (1 + _exact(config.margin)))
+    return math.ceil((fm_max + Fraction(1, 2)) / _exact(config.fm_ratio)) - 1
 
 
 def output_budget(piece: ConversationPiece, config: BudgetConfig, spec: ModelSpec) -> PieceBudget:
@@ -147,39 +152,42 @@ def budget_report(plan: ConversationPlan) -> TokenBudgetReport:
     )
 
 
-def _piece(ids: list[str], counts: dict[str, int], config: BudgetConfig) -> ConversationPiece:
-    gm = sum(counts[e] for e in ids)
-    return ConversationPiece(
-        element_ids=tuple(ids), gm_tokens=gm, fm_tokens=_filled_tokens(gm, config.fm_ratio)
+def _plan(
+    chunks: list[tuple[str, ...]],
+    conversation: ConversationModel,
+    config: BudgetConfig,
+    spec: ModelSpec,
+) -> ConversationPlan:
+    """One piece per chunk of element ids, in order; the user statement rides
+    along with the first piece."""
+    counts = conversation.token_counts()
+    pieces = []
+    for k, chunk in enumerate(chunks):
+        gm = sum(counts[e] for e in chunk)
+        fm = _filled_tokens(gm, config.fm_ratio)
+        pieces.append(ConversationPiece(chunk, gm, fm, includes_user_statement=(k == 0)))
+    return ConversationPlan(
+        pieces=tuple(pieces), model=spec, config=config, conversation=conversation
     )
 
 
-def _split_oversized(
-    ids: list[str], counts: dict[str, int], config: BudgetConfig, spec: ModelSpec
-) -> list[list[str]]:
-    """Greedy split at element boundaries so every chunk's OB fits OL."""
-
-    def fits(gm: int) -> bool:
-        ob = _inflate(_filled_tokens(gm, config.fm_ratio), config.margin)
-        return ob <= spec.max_output_tokens
-
-    if fits(sum(counts[e] for e in ids)):
-        return [ids]
-    chunks: list[list[str]] = []
+def _split_oversized(ids: list[str], counts: dict[str, int], cap: int) -> list[tuple[str, ...]]:
+    """Greedy split at element boundaries so every chunk's GM stays within ``cap``."""
+    chunks: list[tuple[str, ...]] = []
     current: list[str] = []
     current_gm = 0
     for element_id in ids:
         t = counts[element_id]
-        if not fits(t):
+        if t > cap:
             raise UnsplittablePiece(element_id)
-        if current and not fits(current_gm + t):
-            chunks.append(current)
+        if current and current_gm + t > cap:
+            chunks.append(tuple(current))
             current = []
             current_gm = 0
         current.append(element_id)
         current_gm += t
     if current:
-        chunks.append(current)
+        chunks.append(tuple(current))
     return chunks
 
 
@@ -215,21 +223,9 @@ def make_pieces(
             run_key = key
         runs[-1].append(element_id)
 
-    pieces: list[ConversationPiece] = []
-    for run in runs:
-        for chunk in _split_oversized(run, counts, config, spec):
-            pieces.append(_piece(chunk, counts, config))
-    if pieces:
-        first = pieces[0]
-        pieces[0] = ConversationPiece(
-            element_ids=first.element_ids,
-            gm_tokens=first.gm_tokens,
-            fm_tokens=first.fm_tokens,
-            includes_user_statement=True,
-        )
-    return ConversationPlan(
-        pieces=tuple(pieces), model=spec, config=config, conversation=conversation
-    )
+    cap = max_piece_tokens(config, spec)
+    chunks = [chunk for run in runs for chunk in _split_oversized(run, counts, cap)]
+    return _plan(chunks, conversation, config, spec)
 
 
 def make_naive_plan(
@@ -240,21 +236,8 @@ def make_naive_plan(
     Deliberately skips the oversized-piece split — the point of this plan is
     to show what happens without structure-aware cutting.
     """
-    counts = conversation.token_counts()
-    ids = list(conversation.element_ids)
-    if ids:
-        piece = _piece(ids, counts, config)
-        pieces: tuple[ConversationPiece, ...] = (
-            ConversationPiece(
-                element_ids=piece.element_ids,
-                gm_tokens=piece.gm_tokens,
-                fm_tokens=piece.fm_tokens,
-                includes_user_statement=True,
-            ),
-        )
-    else:
-        pieces = ()
-    return ConversationPlan(pieces=pieces, model=spec, config=config, conversation=conversation)
+    ids = conversation.element_ids
+    return _plan([ids] if ids else [], conversation, config, spec)
 
 
 def literal_plan(
@@ -273,17 +256,7 @@ def literal_plan(
         for k, value in enumerate(fm_values)
     )
     conversation = ConversationModel(elements=elements, user_statement_tokens=ust_tokens)
-    counts = conversation.token_counts()
-    pieces = tuple(
-        ConversationPiece(
-            element_ids=(e.id,),
-            gm_tokens=counts[e.id],
-            fm_tokens=_filled_tokens(counts[e.id], config.fm_ratio),
-            includes_user_statement=(k == 0),
-        )
-        for k, e in enumerate(elements)
-    )
-    return ConversationPlan(pieces=pieces, model=spec, config=config, conversation=conversation)
+    return _plan([(e.id,) for e in elements], conversation, config, spec)
 
 
 def capped_cluster(

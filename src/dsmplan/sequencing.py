@@ -92,7 +92,7 @@ class SequencingResult:
         return tuple(self.element_ids[i] for i in self.order.order)
 
 
-def level_partition(dsm: Dsm) -> SequencingResult:
+def sequence(dsm: Dsm) -> SequencingResult:
     """Partition elements into dependency levels.
 
     Components with no external providers sit at level 1; every other
@@ -161,8 +161,3 @@ def level_partition(dsm: Dsm) -> SequencingResult:
         order=Permutation(tuple(flat)),
         cycles=tuple(cycles),
     )
-
-
-def sequence(dsm: Dsm) -> SequencingResult:
-    """Public face of sequencing; see :func:`level_partition`."""
-    return level_partition(dsm)

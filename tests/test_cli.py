@@ -169,6 +169,13 @@ def test_budget_single_piece_zero_margin(capsys, expected):
     assert str(want["ol_headroom"]) in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("naive", [False, True])
+def test_budget_on_a_manifest_is_the_plan(capsys, fmt, naive):
+    args = ["--manifest", MANIFEST, "--format", fmt] + (["--naive"] if naive else [])
+    assert run_cli(capsys, "budget", *args) == run_cli(capsys, "plan", *args)
+
+
 def test_budget_bad_fm_list(capsys):
     code, _, err = run_cli(capsys, "budget", "--fm", "1,two,3")
     assert code == 2
@@ -249,6 +256,16 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(capsys, "budget", "--fm", "20", "--config", str(config))
     assert code == 2
     assert "margni" in err
+
+
+@pytest.mark.parametrize("content", [b"[" * 200_000, b'{"margin": "caf\xe9"}'], ids=["nested", "not-utf8"])
+@pytest.mark.parametrize("flag", ["--manifest", "--config"])
+def test_unreadable_json_exits_two(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "plan", "--manifest", MANIFEST, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "input.json" in err
 
 
 def test_missing_manifest_exits_two(capsys):

@@ -21,11 +21,14 @@ from dsmplan.dsm import (
 from dsmplan.errors import (
     DuplicateId,
     LengthMismatch,
+    MissingTokenCount,
     NegativeWeight,
     NonSquare,
     NonzeroDiagonal,
     ParseError,
+    UnknownDependency,
 )
+from dsmplan.manifest import ConversationElement
 from dsmplan.data import SPACECRAFT_DSM_BINARY, SPACECRAFT_DSM_TOKENS
 
 
@@ -96,6 +99,19 @@ def test_dsm_validation():
         Dsm(("a", "b"), np.array([[1, 0], [0, 0]]))
     with pytest.raises(ValueError):
         Dsm(("a", "b"), np.array([[0, 2], [0, 0]]), kind=BINARY)
+
+
+def test_build_dsm_checks_the_graph_before_token_counts():
+    # "a" has no token count, but the unknown dependency of "c" is reported first
+    elements = [
+        ConversationElement(id="a", label="a"),
+        ConversationElement(id="b", label="b", dependencies=("a",), token_count=1),
+        ConversationElement(id="c", label="c", dependencies=("nope",), token_count=1),
+    ]
+    with pytest.raises(UnknownDependency):
+        build_dsm(elements)
+    with pytest.raises(MissingTokenCount):
+        build_dsm(elements[:2])
 
 
 def test_csv_fixture_files_match_built_matrix(spacecraft_dsm):

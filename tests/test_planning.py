@@ -1,4 +1,6 @@
+from collections import Counter
 from decimal import ROUND_CEILING, ROUND_HALF_UP, Decimal
+from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -109,6 +111,59 @@ def test_max_piece_tokens():
     spec = ModelSpec("m", 32000, 8192)
     assert max_piece_tokens(BudgetConfig(margin=0.05), spec) == 7801  # floor(8192/1.05)
     assert max_piece_tokens(BudgetConfig(margin=0.0), spec) == 8192
+    spec = ModelSpec("m", 10**6, 1000)
+    caps = [max_piece_tokens(BudgetConfig(margin=0.05, fm_ratio=r), spec) for r in (0.5, 1.0, 2.0)]
+    assert caps == [1904, 952, 476]  # largest GM rounding to FM <= floor(1000/1.05)
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.25, max_value=4.0),
+)
+def test_max_piece_tokens_is_the_largest_gm_that_fits(ol, margin, fm_ratio):
+    spec = ModelSpec("m", 10**6, ol)
+    config = BudgetConfig(margin=margin, fm_ratio=fm_ratio)
+
+    def fits(gm: int) -> bool:
+        piece = ConversationPiece(("x",), gm, round_half_up_oracle(gm, fm_ratio))
+        return output_budget(piece, config, spec).ob <= ol
+
+    # GM above (OL + 1/2) / fm has FM > OL, so no GM past this bound can fit
+    bound = int((ol + 1) / fm_ratio) + 2
+    assert max_piece_tokens(config, spec) == max(gm for gm in range(bound) if fits(gm))
+
+
+def test_element_within_an_fm_scaled_budget_is_planned():
+    # at fm_ratio 0.5 a 1000-token element fills 500 tokens, OB 525 <= OL 1000
+    conv = _conversation({"big": 1000})
+    config = BudgetConfig(margin=0.05, fm_ratio=0.5)
+    _, _, plan = plan_conversation(conv, ClusterParams(), config, ModelSpec("m", 10**6, 1000))
+    assert [p.element_ids for p in plan.pieces] == [("big",)]
+    report = budget_report(plan)
+    assert report.feasible and report.piece_budgets[0].ob == 525
+
+
+def test_clusters_fit_one_piece_when_fm_ratio_exceeds_one():
+    # ten 100-token elements in one dependency cycle pull toward large clusters;
+    # at fm_ratio 2 each piece may hold 476 generic tokens, so no cluster may
+    # grow past four elements and none needs splitting after the search
+    ids = [f"e{k}" for k in range(10)]
+    conv = _conversation({e: 100 for e in ids}, {e: (ids[k - 1],) for k, e in enumerate(ids)})
+    config = BudgetConfig(margin=0.05, fm_ratio=2.0)
+    params = ClusterParams(alpha=0.01, seed=3)
+    seq, clusters, plan = plan_conversation(conv, params, config, ModelSpec("m", 10**6, 1000))
+    sizes = Counter(clusters.cluster_of.values())
+    runs = [
+        key
+        for key, _ in groupby(
+            seq.sequenced_ids(),
+            lambda e: clusters.cluster_of[e] if sizes[clusters.cluster_of[e]] > 1 else None,
+        )
+    ]
+    assert max(sizes.values()) > 1
+    assert len(plan.pieces) == len(runs)
+    assert budget_report(plan).feasible
 
 
 def test_window_budget_charges_instructions_per_piece(mistral):

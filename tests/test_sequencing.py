@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmplan.dsm import Dsm, above_diagonal_marks, permute
-from dsmplan.sequencing import level_partition, reachability, sequence
+from dsmplan.sequencing import reachability, sequence
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def test_coupled_pair_stays_together():
 @given(random_dag())
 @settings(max_examples=60)
 def test_dag_levels_match_longest_path_oracle(d):
-    seq = level_partition(d)
+    seq = sequence(d)
     assert seq.cycles == ()
     got = {e: k for k, level in enumerate(seq.levels, start=1) for e in level}
     assert got == dag_levels(d)
@@ -165,7 +165,7 @@ def test_dag_levels_match_longest_path_oracle(d):
 @given(random_digraph())
 @settings(max_examples=60)
 def test_levels_partition_all_elements(d):
-    seq = level_partition(d)
+    seq = sequence(d)
     flat = [e for level in seq.levels for e in level]
     assert sorted(flat) == sorted(d.element_ids)
     assert tuple(flat) == seq.sequenced_ids()
@@ -174,7 +174,7 @@ def test_levels_partition_all_elements(d):
 @given(random_digraph())
 @settings(max_examples=60)
 def test_cross_component_providers_come_first(d):
-    seq = level_partition(d)
+    seq = sequence(d)
     reach = closure_by_dfs(d)
     pos = {e: k for k, e in enumerate(seq.sequenced_ids())}
     for i in range(d.n):
@@ -186,7 +186,7 @@ def test_cross_component_providers_come_first(d):
 @given(random_digraph())
 @settings(max_examples=60)
 def test_cycles_match_mutual_reachability_classes(d):
-    seq = level_partition(d)
+    seq = sequence(d)
     reach = closure_by_dfs(d)
     want = {
         frozenset(d.element_ids[v] for v in group)
@@ -204,4 +204,4 @@ def test_cycles_match_mutual_reachability_classes(d):
 @given(random_digraph())
 @settings(max_examples=30)
 def test_sequencing_is_deterministic(d):
-    assert level_partition(d) == level_partition(d)
+    assert sequence(d) == sequence(d)

@@ -1,9 +1,13 @@
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsmplan.errors import PieceExceedsWindow, SpecMismatch
-from dsmplan.manifest import ConversationElement, ConversationModel
+from dsmplan.dsm import build_dsm
+from dsmplan.manifest import ConversationElement, ConversationModel, parse_manifest
 from dsmplan.planning import BudgetConfig, ConversationPiece, ConversationPlan, ModelSpec
 from dsmplan.simulator import compare, simulate
 
@@ -133,6 +137,28 @@ def test_misses_counted_per_dependency_edge():
     assert run.missed_pairs == (("c1", "p"), ("c2", "p"))
     assert run.dependency_misses == 2
     assert run.lost_tokens == 100  # provider's 50 tokens charged per miss
+
+
+def test_repeated_dependency_is_one_miss(tmp_path):
+    path = tmp_path / "conv.json"
+    path.write_text(
+        json.dumps(
+            {
+                "elements": [
+                    {"id": "x", "tokens": 100},
+                    {"id": "z", "tokens": 100},
+                    {"id": "y", "tokens": 10, "deps": ["x", "x", "z"]},
+                ]
+            }
+        )
+    )
+    conv = parse_manifest(path)
+    assert conv.dependencies()["y"] == ("x", "z")
+    assert np.count_nonzero(build_dsm(conv.elements).weights) == 2  # y->x and y->z, once each
+    # x and z fill the window with their replies; y's piece pushes x out
+    run = simulate(_manual_plan(conv, [["x"], ["z"], ["y"]], ModelSpec("m", 400, 400)))
+    assert run.missed_pairs == (("y", "x"),)
+    assert (run.dependency_misses, run.lost_tokens) == (1, 100)
 
 
 def test_unsent_provider_is_not_a_miss():
