@@ -61,6 +61,34 @@ _DEFAULTS: dict[str, Any] = {
     "ust": None,
 }
 
+# the type a --config value must have (a number may be written as an integer);
+# null is also accepted where the default above is None
+_CONFIG_TYPES: dict[str, type] = {
+    "manifest": str,
+    "model": str,
+    "catalog": str,
+    "alpha": float,
+    "beta": float,
+    "size_mode": str,
+    "seed": int,
+    "restarts": int,
+    "margin": float,
+    "fm_ratio": float,
+    "instructions": int,
+    "tokens": str,
+    "cw": int,
+    "ol": int,
+    "format": str,
+    "naive": bool,
+    "binary": bool,
+    "permute": str,
+    "fm": str,
+    "ust": int,
+}
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer", bool: "true or false"}
+_SIZE_MODES = ("count", "tokens")
+_PERMUTATIONS = ("none", "sequence")
+
 _ANALYSIS_ERRORS = (UnsplittablePiece, PieceExceedsWindow)
 
 
@@ -76,7 +104,7 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
     parser.add_argument("--catalog", metavar="PATH", help="model catalog CSV (default bundled)")
     parser.add_argument("--alpha", type=float, help="cluster size penalty weight")
     parser.add_argument("--beta", type=float, help="outside-cluster interaction weight")
-    parser.add_argument("--size-mode", dest="size_mode", choices=["count", "tokens"])
+    parser.add_argument("--size-mode", dest="size_mode", choices=_SIZE_MODES)
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--restarts", type=int, help="annealing restarts")
     parser.add_argument("--margin", type=float, help="safety margin on budgets, e.g. 0.05")
@@ -85,7 +113,8 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
     parser.add_argument("--tokens", metavar="MODE", help="'approx' or 'table:PATH'")
     parser.add_argument("--cw", type=int, help="context window override")
     parser.add_argument("--ol", type=int, help="max output tokens override")
-    parser.add_argument("--format", choices=list(formats))
+    parser.add_argument("--format", choices=formats)
+    parser.set_defaults(formats=formats)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dsm = sub.add_parser("dsm", help="emit the dependency matrix")
     _add_common(p_dsm, ("csv", "text", "json"))
     p_dsm.add_argument("--binary", action="store_true", default=None, help="marks instead of weights")
-    p_dsm.add_argument("--permute", choices=["none", "sequence"], help="row/column order")
+    p_dsm.add_argument("--permute", choices=_PERMUTATIONS, help="row/column order")
     p_dsm.set_defaults(func=cmd_dsm, default_format="csv")
 
     p_seq = sub.add_parser("sequence", help="levels and element order")
@@ -128,20 +157,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, Any]:
+def _load_config_file(path: str, formats: tuple[str, ...]) -> dict[str, Any]:
+    """The settings of a --config file, each checked as its flag would be."""
     raw = read_json_file(path, "config")
     if not isinstance(raw, dict):
         raise ParseError(f"config {path}: root must be an object")
     unknown = sorted(set(raw) - set(_DEFAULTS))
     if unknown:
         raise ParseError(f"config {path}: unknown keys {', '.join(unknown)}")
+    choices = {"size_mode": _SIZE_MODES, "permute": _PERMUTATIONS, "format": formats}
+    for key, value in raw.items():
+        if value is None and _DEFAULTS[key] is None:
+            continue
+        want = _CONFIG_TYPES[key]
+        # bool is an int subclass in Python, but true/false is no number in a config
+        accepted = (int, float) if want is float else want
+        if not isinstance(value, accepted) or isinstance(value, bool) != (want is bool):
+            raise ParseError(f"config {path}: {key} must be {_TYPE_NAMES[want]}, got {json.dumps(value)}")
+        if key in choices and value not in choices[key]:
+            raise ParseError(f"config {path}: {key} must be one of {', '.join(choices[key])}, got {value!r}")
+        if want is float:  # parsed as the flag parses it, so 0 prints as 0.0
+            try:
+                raw[key] = float(value)
+            except OverflowError:
+                raise ParseError(f"config {path}: {key} is out of range") from None
     return raw
 
 
 def _merge(args: argparse.Namespace) -> dict[str, Any]:
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        settings.update(_load_config_file(args.config))
+        settings.update(_load_config_file(args.config, args.formats))
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
@@ -446,8 +492,10 @@ def cmd_plan(settings: dict[str, Any]) -> int:
 def cmd_budget(settings: dict[str, Any]) -> int:
     if settings["fm"] is None:
         return cmd_plan(settings)
+    if settings["manifest"]:
+        raise ParseError("--fm budgets the literal figures given and reads no manifest; drop --manifest")
     try:
-        fm_values = [int(v) for v in str(settings["fm"]).split(",") if v.strip() != ""]
+        fm_values = [int(v) for v in settings["fm"].split(",") if v.strip() != ""]
     except ValueError:
         raise ParseError(f"--fm expects comma-separated integers, got {settings['fm']!r}") from None
     if not fm_values:

@@ -1,27 +1,29 @@
 """Dependency structure matrices.
 
 A Dsm is a square matrix over the conversation elements, read row-to-column:
-``weights[i][j] != 0`` means element i depends on element j.  The numerical
+cell [i][j] is nonzero when element i depends on element j.  The numerical
 form built by :func:`build_dsm` stores, in every cell of column j, the token
 count of provider j — the worst-case cost of re-sending j's text.  The binary
 form keeps only the marks.
 
-Every Dsm also carries ``marks = (rows, cols, vals)``: its nonzero cells in
-row-major order, as read-only int64 arrays, built once when the Dsm is made.
-They are exactly the cells where ``weights != 0``, and ``vals[k]`` is
-``weights[rows[k], cols[k]]``.  Stages that need only the dependencies read
-the marks, so their cost is O(marks), not O(n²): validation, equality and
-hashing, :func:`above_diagonal_marks`, sequencing and the clustering scores.
-The dense ``weights`` stay for the stages that emit or reshape the whole
-matrix: CSV and the CLI's ``dsm`` output, :func:`permute`, :func:`to_binary`
-and reachability.
+A Dsm stores only its marks: ``marks = (rows, cols, vals)``, the nonzero
+cells in row-major order as read-only int64 arrays.  :func:`build_dsm`,
+:func:`permute`, :func:`to_binary` and the CSV reader build the marks
+directly, and every constructor, the dense ``Dsm(ids, weights, kind)`` one
+included, validates them in one place.  So building, validating, comparing,
+hashing, sequencing and the clustering scores all cost O(n + marks), and
+planning a conversation never allocates an n×n array.  ``weights``, the dense
+(n, n) matrix, is built from the marks on first read and cached, read-only;
+only output that prints the whole matrix reads it — CSV and the CLI's ``dsm``
+output — and so only that output touches n² cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,49 +44,70 @@ NUMERICAL = "numerical"
 _ID_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Dsm:
     element_ids: tuple[str, ...]
-    weights: np.ndarray  # (n, n) non-negative int64, zero diagonal
-    kind: str = NUMERICAL
+    kind: str
     # (rows, cols, vals) of the nonzero cells, row-major; see the module docstring
-    marks: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)  # id -> row/column
+    marks: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    positions: dict[str, int] = field(repr=False)  # id -> row/column
 
-    def __post_init__(self) -> None:
-        ids = tuple(self.element_ids)
-        object.__setattr__(self, "element_ids", ids)
+    def __init__(self, element_ids: Iterable[str], weights: np.ndarray, kind: str = NUMERICAL) -> None:
+        """A Dsm from a dense (n, n) matrix; it keeps the nonzero cells, not the matrix."""
+        w = np.asarray(weights, dtype=np.int64)
+        square = w.ndim == 2 and w.shape[0] == w.shape[1]
+        rows, cols = np.nonzero(w) if square else ((), ())
+        self._store(element_ids, w.shape, rows, cols, w[rows, cols] if square else (), kind)
+
+    @classmethod
+    def _from_marks(cls, element_ids: Sequence[str], rows, cols, vals, kind: str) -> "Dsm":
+        """A Dsm from its cells, in any order; zero cells are dropped."""
+        dsm = cls.__new__(cls)
+        dsm._store(element_ids, (len(element_ids), len(element_ids)), rows, cols, vals, kind)
+        return dsm
+
+    def _store(self, element_ids: Iterable[str], shape: tuple[int, ...], rows, cols, vals, kind: str) -> None:
+        """The one validation path of every constructor; it sorts the marks row-major."""
+        ids = tuple(element_ids)
         positions: dict[str, int] = {}
         for element_id in ids:
             if element_id in positions:
                 raise DuplicateId(element_id)
             positions[element_id] = len(positions)
-        w = np.asarray(self.weights, dtype=np.int64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise NonSquare(f"weights shape {w.shape} is not square")
-        n = w.shape[0]
-        if n != len(ids):
-            raise NonSquare(f"{len(ids)} element ids but {n} matrix rows")
-        # one scan, before the copy below, so its n² bool mask and the copy
-        # are never held at once; a bool scan is several times faster than
-        # an int64 one
-        flat = np.flatnonzero(w != 0)
-        rows, cols = np.divmod(flat, max(n, 1))
-        vals = w[rows, cols]
-        if (vals < 0).any():
-            raise NegativeWeight("matrix weights must be non-negative")
-        if (rows == cols).any():
-            raise NonzeroDiagonal("matrix diagonal must be zero")
-        if self.kind not in (BINARY, NUMERICAL):
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
-        if self.kind == BINARY and (vals > 1).any():
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise NonSquare(f"weights shape {shape} is not square")
+        if shape[0] != len(ids):
+            raise NonSquare(f"{len(ids)} element ids but {shape[0]} matrix rows")
+        rows, cols, vals = (np.asarray(a, dtype=np.int64) for a in (rows, cols, vals))
+        keep = np.flatnonzero(vals)
+        keep = keep[np.lexsort((cols[keep], rows[keep]))]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        negative = np.flatnonzero(vals < 0)
+        if negative.size:
+            k = negative[0]
+            raise NegativeWeight(f"negative weight {vals[k]} at row {ids[rows[k]]}, column {ids[cols[k]]}")
+        diagonal = np.flatnonzero(rows == cols)
+        if diagonal.size:
+            raise NonzeroDiagonal(f"nonzero diagonal at {ids[rows[diagonal[0]]]}")
+        if kind not in (BINARY, NUMERICAL):
+            raise ValueError(f"unknown matrix kind {kind!r}")
+        if kind == BINARY and (vals > 1).any():
             raise ValueError("binary matrix may only contain 0/1")
-        w = np.array(w)  # the Dsm's own copy: the caller may still change its array
-        for array in (w, rows, cols, vals):
+        for array in (rows, cols, vals):
             array.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "element_ids", ids)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "marks", (rows, cols, vals))
         object.__setattr__(self, "positions", positions)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The dense (n, n) int64 matrix, read-only; built from the marks on first read."""
+        rows, cols, vals = self.marks
+        w = np.zeros((self.n, self.n), dtype=np.int64)
+        w[rows, cols] = vals
+        w.setflags(write=False)
+        return w
 
     @property
     def n(self) -> int:
@@ -137,30 +160,34 @@ def build_dsm(elements: Iterable[ConversationElement]) -> Dsm:
     """
     elements = list(elements)
     index = check_references(elements)
-    n = len(elements)
-    w = np.zeros((n, n), dtype=np.int64)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[int] = []
     for i, element in enumerate(elements):
         for dep in element.dependencies:
             j = index[dep]
             if elements[j].token_count is None:
                 raise MissingTokenCount(dep)
-            w[i, j] = elements[j].token_count
-    return Dsm(tuple(index), w, kind=NUMERICAL)
+            rows.append(i)
+            cols.append(j)
+            vals.append(elements[j].token_count)
+    return Dsm._from_marks(tuple(index), rows, cols, vals, NUMERICAL)
 
 
 def to_binary(dsm: Dsm) -> Dsm:
     """Collapse weights to 0/1 marks; idempotent."""
-    return Dsm(dsm.element_ids, (dsm.weights != 0).astype(np.int64), kind=BINARY)
+    rows, cols, vals = dsm.marks
+    return Dsm._from_marks(dsm.element_ids, rows, cols, np.ones_like(vals), BINARY)
 
 
 def permute(dsm: Dsm, permutation: Permutation) -> Dsm:
     """Reorder rows, columns, and ids simultaneously by ``permutation``."""
     if len(permutation) != dsm.n:
         raise LengthMismatch(dsm.n, len(permutation))
-    order = list(permutation.order)
-    ids = tuple(dsm.element_ids[i] for i in order)
-    w = dsm.weights[np.ix_(order, order)]
-    return Dsm(ids, w, kind=dsm.kind)
+    ids = tuple(dsm.element_ids[i] for i in permutation.order)
+    slot = np.array(permutation.inverse().order, dtype=np.int64)  # source index -> target slot
+    rows, cols, vals = dsm.marks
+    return Dsm._from_marks(ids, slot[rows], slot[cols], vals, dsm.kind)
 
 
 def above_diagonal_marks(dsm: Dsm) -> int:
@@ -199,7 +226,9 @@ def dsm_from_csv_text(text: str) -> Dsm:
     n = len(ids)
     if len(lines) - 1 != n:
         raise NonSquare(f"{n} columns but {len(lines) - 1} rows")
-    w = np.zeros((n, n), dtype=np.int64)
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[int] = []
     for i, line in enumerate(lines[1:]):
         lineno = i + 2
         cells = line.split(",")
@@ -214,14 +243,12 @@ def dsm_from_csv_text(text: str) -> Dsm:
                 value = int(cell)
             except ValueError:
                 raise ParseError(f"cell {cell!r} is not an integer", line=lineno) from None
-            if value < 0:
-                raise NegativeWeight(f"negative weight {value} at row {ids[i]}, column {ids[j]}")
-            if i == j and value != 0:
-                raise NonzeroDiagonal(f"nonzero diagonal at {ids[i]}")
-            w[i, j] = value
-    nonzero = w[w != 0]
-    kind = BINARY if nonzero.size and (nonzero == 1).all() else NUMERICAL
-    return Dsm(tuple(ids), w, kind=kind)
+            rows.append(i)
+            cols.append(j)
+            vals.append(value)
+    nonzero = [v for v in vals if v != 0]
+    kind = BINARY if nonzero and all(v == 1 for v in nonzero) else NUMERICAL
+    return Dsm._from_marks(tuple(ids), rows, cols, vals, kind)
 
 
 def parse_dsm_csv(path: str | Path) -> Dsm:

@@ -1,12 +1,12 @@
 """Ordering a DSM so information flows forward.
 
-Dependencies point column-to-row: an edge j -> i exists when weights[i][j] is
+Dependencies point column-to-row: an edge j -> i exists when cell [i][j] is
 nonzero.  Sequencing condenses strongly connected components (coupled element
 groups that cannot be serialized) and levels the resulting DAG by longest path
 from the sources.  Flattening the levels gives an order in which every
 provider precedes its consumers except inside cycles.  It reads the edges from
-the DSM's marks, so it runs in O(n + marks); only :func:`reachability` works
-on the dense matrix.
+the DSM's marks, so it runs in O(n + marks).  :func:`reachability` sets its
+boolean matrix from the marks too; its closure is n×n by nature.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ def reachability(dsm: Dsm) -> np.ndarray:
     Idempotent: closing the closure changes nothing.
     """
     n = dsm.n
-    reach = (dsm.weights != 0) | np.eye(n, dtype=bool)
+    reach = np.eye(n, dtype=bool)
+    reach[dsm.marks[0], dsm.marks[1]] = True
     for k in range(n):
         rows = reach[:, k]
         reach[rows] |= reach[k]

@@ -182,6 +182,13 @@ def test_budget_bad_fm_list(capsys):
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize("manifest", [MANIFEST, "/nonexistent.json"])
+def test_budget_fm_rejects_a_manifest(capsys, manifest):
+    code, out, err = run_cli(capsys, "budget", "--manifest", manifest, "--fm", "100")
+    assert (code, out) == (2, "")
+    assert "--manifest" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -256,6 +263,27 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(capsys, "budget", "--fm", "20", "--config", str(config))
     assert code == 2
     assert "margni" in err
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"margin": "x"}, {"restarts": 1.5}, {"naive": "no"}, {"format": "yaml"}, {"restarts": True}, {"naive": 1}],
+    ids=["margin-string", "restarts-float", "naive-string", "format-unknown", "restarts-bool", "naive-int"],
+)
+def test_config_values_are_checked(tmp_path, capsys, setting):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(setting))
+    code, out, err = run_cli(capsys, "plan", "--manifest", MANIFEST, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config ") and f"{next(iter(setting))} must be" in err
+
+
+def test_config_accepts_json_spellings_of_the_flags(tmp_path, capsys):
+    # an integer where a number is due, null for an unset default, false for a flag
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"alpha": 2, "margin": 0, "cw": None, "naive": False, "format": "json"}))
+    with_config = run_cli(capsys, "plan", "--manifest", MANIFEST, "--config", str(config))
+    assert with_config == run_cli(capsys, "plan", "--manifest", MANIFEST, "--margin", "0", "--format", "json")
 
 
 @pytest.mark.parametrize("content", [b"[" * 200_000, b'{"margin": "caf\xe9"}'], ids=["nested", "not-utf8"])

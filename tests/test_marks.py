@@ -1,10 +1,15 @@
 """The sparse mark list against the dense code it replaced.
 
-Every stage that needs only the dependencies reads ``Dsm.marks``.  The
-oracles below are the dense versions those stages used before: a mask-gather
-outside-weight sum, ``np.nonzero`` sequencing, a ``triu`` feedback count,
-``weights + weights.T`` neighbour lists and whole-matrix validation.
+A Dsm stores only its marks, and every stage that needs only the
+dependencies reads ``Dsm.marks``.  The oracles below are the dense versions
+those stages used before: matrix-filling ``build_dsm``, ``permute``,
+``to_binary`` and CSV reading, a mask-gather outside-weight sum,
+``np.nonzero`` sequencing, a ``triu`` feedback count, ``weights + weights.T``
+neighbour lists and whole-matrix validation.
 """
+
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_GROUPS
+from dsmplan import planning
 from dsmplan.clustering import (
     ClusterParams,
     _neighbours,
@@ -21,9 +27,29 @@ from dsmplan.clustering import (
     cluster,
     clustering_cost,
 )
-from dsmplan.dsm import BINARY, NUMERICAL, Dsm, Permutation, above_diagonal_marks
-from dsmplan.errors import EmptyMatrix, NegativeWeight, NonSquare, NonzeroDiagonal
-from dsmplan.sequencing import SequencingResult, _tarjan_sccs, sequence
+from dsmplan.dsm import (
+    BINARY,
+    NUMERICAL,
+    Dsm,
+    Permutation,
+    above_diagonal_marks,
+    build_dsm,
+    dsm_from_csv_text,
+    permute,
+    to_binary,
+    write_dsm_csv,
+)
+from dsmplan.errors import (
+    DsmPlanError,
+    EmptyMatrix,
+    MissingTokenCount,
+    NegativeWeight,
+    NonSquare,
+    NonzeroDiagonal,
+)
+from dsmplan.manifest import ConversationElement, ConversationModel, check_references
+from dsmplan.planning import BudgetConfig, make_pieces, plan_conversation
+from dsmplan.sequencing import SequencingResult, _tarjan_sccs, reachability, sequence
 
 # ---------------------------------------------------------------------------
 # dense oracles
@@ -96,6 +122,71 @@ def dense_sequence(d: Dsm) -> SequencingResult:
     return SequencingResult(d.element_ids, tuple(levels), Permutation(tuple(flat)), tuple(cycles))
 
 
+def dense_marks(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The marks the dense ``Dsm`` took from its matrix: one row-major nonzero scan."""
+    flat = np.flatnonzero(weights != 0)
+    rows, cols = np.divmod(flat, max(weights.shape[0], 1))
+    return rows, cols, weights[rows, cols]
+
+
+def dense_build_dsm(elements: list[ConversationElement]) -> tuple[tuple[str, ...], np.ndarray, str]:
+    index = check_references(elements)
+    n = len(elements)
+    w = np.zeros((n, n), dtype=np.int64)
+    for i, element in enumerate(elements):
+        for dep in element.dependencies:
+            j = index[dep]
+            if elements[j].token_count is None:
+                raise MissingTokenCount(dep)
+            w[i, j] = elements[j].token_count
+    return tuple(index), w, NUMERICAL
+
+
+def dense_permute(ids, weights, kind, order) -> tuple[tuple[str, ...], np.ndarray, str]:
+    order = list(order)
+    return tuple(ids[i] for i in order), weights[np.ix_(order, order)], kind
+
+
+def dense_to_binary(ids, weights) -> tuple[tuple[str, ...], np.ndarray, str]:
+    return ids, (weights != 0).astype(np.int64), BINARY
+
+
+def dense_from_csv_text(text: str) -> tuple[tuple[str, ...], np.ndarray, str]:
+    """The matrix-filling CSV reader, for well-formed files."""
+    lines = text.split("\n")[:-1]
+    ids = tuple(lines[0].split(",")[1:])
+    n = len(ids)
+    w = np.zeros((n, n), dtype=np.int64)
+    for i, line in enumerate(lines[1:]):
+        for j, cell in enumerate(line.split(",")[1:]):
+            if cell != "":
+                w[i, j] = int(cell)
+    nonzero = w[w != 0]
+    return ids, w, BINARY if nonzero.size and (nonzero == 1).all() else NUMERICAL
+
+
+def assert_is_dense(d: Dsm, ids: tuple[str, ...], weights: np.ndarray, kind: str) -> None:
+    """``d`` is the Dsm the dense code built from (ids, weights, kind)."""
+    assert "weights" not in vars(d), "the matrix was built before anyone asked for it"
+    want = dense_marks(weights)
+    assert d.element_ids == ids and d.kind == kind
+    for got, expected in zip(d.marks, want):
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert not any(a.flags.writeable for a in d.marks)
+    assert hash(d) == hash((ids, kind, *(a.astype(np.int64).tobytes() for a in want)))
+    assert d == Dsm(ids, weights, kind=kind)
+    assert np.array_equal(d.weights, weights) and d.weights.dtype == np.int64
+    assert not d.weights.flags.writeable
+    assert d.weights is d.weights  # built once, then cached
+
+
+def dense_reachability(weights: np.ndarray) -> np.ndarray:
+    reach = (weights != 0) | np.eye(weights.shape[0], dtype=bool)
+    for k in range(weights.shape[0]):
+        reach[reach[:, k]] |= reach[k]
+    return reach
+
+
 def dense_validation_error(ids: tuple[str, ...], weights: np.ndarray, kind: str) -> type | None:
     """The error type the whole-matrix checks raised, in their order, or None."""
     w = np.array(weights, dtype=np.int64)
@@ -116,7 +207,7 @@ def dense_validation_error(ids: tuple[str, ...], weights: np.ndarray, kind: str)
 
 
 @st.composite
-def random_dsm(draw, max_n=40):
+def random_matrix(draw, max_n=40):
     n = draw(st.integers(min_value=0, max_value=max_n))
     density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
     kind = draw(st.sampled_from([BINARY, NUMERICAL]))
@@ -124,7 +215,89 @@ def random_dsm(draw, max_n=40):
     high = 2 if kind == BINARY else 60
     w = np.where(rng.random((n, n)) < density, rng.integers(1, high, size=(n, n)), 0)
     np.fill_diagonal(w, 0)
-    return Dsm(tuple(f"e{k}" for k in range(n)), w, kind=kind), rng
+    return tuple(f"e{k}" for k in range(n)), w, kind, rng
+
+
+@st.composite
+def random_dsm(draw, max_n=40):
+    ids, w, kind, rng = draw(random_matrix(max_n))
+    return Dsm(ids, w, kind=kind), rng
+
+
+@st.composite
+def random_elements(draw, max_n=25):
+    """Manifest elements with any dependency pattern; a few lack a token count."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    ids = [f"e{k}" for k in range(n)]
+    elements = []
+    for k in range(n):
+        deps = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=6)) if n > 1 else []
+        missing = draw(st.integers(min_value=0, max_value=19)) == 0
+        tokens = None if missing else draw(st.integers(min_value=0, max_value=500))
+        elements.append(
+            ConversationElement(
+                id=ids[k], label=ids[k], dependencies=tuple(ids[j] for j in deps if j != k), token_count=tokens
+            )
+        )
+    return elements
+
+
+def synthetic_conversation(n: int, seed: int) -> ConversationModel:
+    """A seeded DAG: each element reads up to 4 of the 40 before it, and about
+    2% also read one a few places ahead, which closes small coupled groups."""
+    rng = random.Random(seed)
+    ids = [f"e{k}" for k in range(n)]
+    elements = []
+    for k in range(n):
+        deps = set(rng.sample(range(max(0, k - 40), k), min(k, 4)))
+        if k + 1 < n and rng.random() < 0.02:
+            deps.add(rng.randrange(k + 1, min(n, k + 6)))
+        deps_ids = tuple(ids[j] for j in sorted(deps))
+        elements.append(
+            ConversationElement(id=ids[k], label=ids[k], dependencies=deps_ids, token_count=rng.randint(20, 400))
+        )
+    return ConversationModel(elements=tuple(elements), user_statement_tokens=100, instruction_tokens=50)
+
+
+def fixed_grouping_plan(conversation: ConversationModel, config: BudgetConfig, spec) -> Dsm:
+    """Plan along coupled groups plus singletons, with no search; returns the matrix."""
+    dsm = build_dsm(conversation.elements)
+    seq = sequence(dsm)
+    coupled = {e for group in seq.cycles for e in group}
+    groups = [*seq.cycles, *([e] for e in dsm.element_ids if e not in coupled)]
+    make_pieces(conversation, seq, assignment_from_groups(dsm, groups), config, spec)
+    return dsm
+
+
+# ---------------------------------------------------------------------------
+# every constructor equals the dense code it replaced
+# ---------------------------------------------------------------------------
+
+
+@given(random_matrix())
+@settings(max_examples=150, deadline=None)
+def test_constructors_match_the_dense_code(case):
+    ids, w, kind, rng = case
+    d = Dsm(ids, w, kind=kind)
+    assert_is_dense(d, ids, w, kind)
+    order = rng.permutation(len(ids)).tolist()
+    assert_is_dense(permute(d, Permutation(order)), *dense_permute(ids, w, kind, order))
+    assert_is_dense(to_binary(d), *dense_to_binary(ids, w))
+    if ids:  # the CSV form has no way to write an empty matrix
+        text = write_dsm_csv(d)
+        assert_is_dense(dsm_from_csv_text(text), *dense_from_csv_text(text))
+
+
+@given(random_elements())
+@settings(max_examples=150, deadline=None)
+def test_build_dsm_matches_the_dense_code(elements):
+    try:
+        want = dense_build_dsm(elements)
+    except DsmPlanError as exc:
+        with pytest.raises(type(exc)):
+            build_dsm(elements)
+        return
+    assert_is_dense(build_dsm(elements), *want)
 
 
 @given(random_dsm(), st.sampled_from(["count", "tokens"]))
@@ -138,6 +311,7 @@ def test_mark_stages_match_dense_oracles(case, size_mode):
     assert above_diagonal_marks(d) == dense_above_diagonal(d.weights)
     assert _neighbours(d) == dense_neighbours(d.weights)
     assert sequence(d) == dense_sequence(d)
+    assert np.array_equal(reachability(d), dense_reachability(d.weights))
 
     params = ClusterParams(size_mode=size_mode)
     tokens = dict(zip(d.element_ids, rng.integers(1, 400, size=d.n).tolist()))
@@ -236,6 +410,10 @@ def test_stages_read_only_the_marks(spacecraft, spacecraft_dsm, size_mode, cap):
     assert guarded == d and hash(guarded) == hash(d)
     assert sequence(guarded) == sequence(d)
     assert above_diagonal_marks(guarded) == above_diagonal_marks(d)
+    reverse = Permutation(tuple(reversed(range(d.n))))
+    assert permute(guarded, reverse) == permute(d, reverse)
+    assert to_binary(guarded) == to_binary(d)
+    assert np.array_equal(reachability(guarded), reachability(d))
     assert cluster(guarded, params, counts) == cluster(d, params, counts)
     fixed = assignment_from_groups(guarded, REFERENCE_GROUPS, params, counts)
     assert fixed == assignment_from_groups(d, REFERENCE_GROUPS, params, counts)
@@ -247,3 +425,44 @@ def test_stages_read_only_the_marks(spacecraft, spacecraft_dsm, size_mode, cap):
     assert brute_force_cluster(_without_weights(small), small_params, small_counts) == brute_force_cluster(
         small, small_params, small_counts
     )
+
+
+# ---------------------------------------------------------------------------
+# planning never builds the dense matrix
+# ---------------------------------------------------------------------------
+
+
+def test_planning_never_builds_the_dense_matrix(monkeypatch, mistral):
+    conversation = synthetic_conversation(300, seed=7)
+    config = BudgetConfig(margin=0.05, instructions_per_piece=conversation.instruction_tokens)
+    built: list[Dsm] = []
+
+    def recording_build_dsm(elements):
+        built.append(build_dsm(elements))
+        return built[-1]
+
+    monkeypatch.setattr(planning, "build_dsm", recording_build_dsm)
+    plan_conversation(conversation, ClusterParams(restarts=2, iterations_per_restart=300), config, mistral)
+    assert len(built) == 1
+    fixed = fixed_grouping_plan(conversation, config, mistral)
+    for d in (*built, fixed):
+        assert "weights" not in vars(d)
+    assert fixed == built[0]
+
+
+def test_planning_memory_stays_below_one_dense_matrix():
+    # build_dsm + sequence + assignment_from_groups at n=2000 (about 8000
+    # marks) must peak below n²·8 bytes, the size of one int64 n×n matrix
+    n = 2000
+    conversation = synthetic_conversation(n, seed=11)
+    tracemalloc.start()
+    try:
+        dsm = build_dsm(conversation.elements)
+        seq = sequence(dsm)
+        coupled = {e for group in seq.cycles for e in group}
+        assignment_from_groups(dsm, [*seq.cycles, *([e] for e in dsm.element_ids if e not in coupled)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seq.cycles, "the synthetic DAG should close some coupled groups"
+    assert peak < n * n * 8, f"peak {peak} bytes"

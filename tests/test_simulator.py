@@ -282,3 +282,57 @@ def test_huge_window_never_misses(plan):
     run = simulate(plan, context_window=10 **9)
     assert run.dependency_misses == 0
     assert run.output_overflow_tokens == 0
+
+
+@st.composite
+def any_order_plan(draw):
+    """Elements in any order, dependencies in both directions (feedback
+    included), zero-token elements, and replies unrelated to the piece size."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    ids = [f"e{i}" for i in range(n)]
+    counts = {e: draw(st.integers(min_value=0, max_value=40)) for e in ids}
+    deps = {e: tuple(d for d in ids if d != e and draw(st.booleans())) for e in ids}
+    conv = _conversation(counts, deps, ust=draw(st.integers(min_value=0, max_value=20)))
+    order = draw(st.permutations(ids))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else [])
+    bounds = [0, *cuts, n]
+    pieces = tuple(
+        ConversationPiece(
+            element_ids=tuple(order[a:b]),
+            gm_tokens=sum(counts[e] for e in order[a:b]),
+            fm_tokens=draw(st.integers(min_value=0, max_value=60)),
+            includes_user_statement=(k == 0),
+        )
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    )
+    config = BudgetConfig(margin=0.0, instructions_per_piece=draw(st.integers(min_value=0, max_value=10)))
+    return ConversationPlan(pieces=pieces, model=ModelSpec("m", 10**6, 10**6), config=config, conversation=conv)
+
+
+def _entry_tokens(plan: ConversationPlan, piece: ConversationPiece) -> int:
+    """Everything the piece puts in the window: statement, instructions, elements, reply."""
+    counts = plan.conversation.token_counts()
+    ust = plan.conversation.user_statement_tokens if piece.includes_user_statement else 0
+    return ust + plan.config.instructions_per_piece + sum(counts[e] for e in piece.element_ids) + piece.fm_tokens
+
+
+@given(any_order_plan(), st.integers(min_value=1, max_value=300))
+@settings(max_examples=150)
+def test_simulation_conserves_tokens(plan, cw):
+    run = simulate(plan, context_window=cw)
+    counts = plan.conversation.token_counts()
+    sent: set[str] = set()
+    evicted: list[str] = []
+    for piece, step in zip(plan.pieces, run.steps, strict=True):
+        assert step.tokens_in + step.tokens_out == _entry_tokens(plan, piece)
+        sent.update(piece.element_ids)
+        assert set(step.evicted_element_ids) <= sent  # nothing leaves before it arrived
+        evicted.extend(step.evicted_element_ids)
+    assert len(evicted) == len(set(evicted))  # each element leaves the window at most once
+    assert run.dependency_misses == len(run.missed_pairs)
+    assert run.lost_tokens == sum(counts[provider] for _, provider in run.missed_pairs)
+
+    whole = sum(_entry_tokens(plan, piece) for piece in plan.pieces)
+    roomy = simulate(plan, context_window=max(whole, 1))
+    assert all(step.evicted_element_ids == () for step in roomy.steps)
+    assert (roomy.dependency_misses, roomy.lost_tokens, roomy.missed_pairs) == (0, 0, ())
