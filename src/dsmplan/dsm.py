@@ -206,7 +206,7 @@ def write_dsm_csv(dsm: Dsm) -> str:
     for element_id in dsm.element_ids:
         if not element_id or not set(element_id) <= _ID_CHARS:
             raise ParseError(f"element id {element_id!r} needs quoting, not supported in CSV form")
-    lines = ["," + ",".join(dsm.element_ids)]
+    lines = [",".join(["", *dsm.element_ids])]
     for i, element_id in enumerate(dsm.element_ids):
         cells = ["" if v == 0 else str(int(v)) for v in dsm.weights[i]]
         lines.append(element_id + "," + ",".join(cells))

@@ -16,9 +16,10 @@ so e.g. a 5% margin on 20 tokens is exactly 21, not a float whisker above.
 
 OB never decreases as GM grows, so "OB <= OL" is the same as "GM <= cap" for
 one integer, :func:`max_piece_tokens`: with ``fm_max = floor(OL / (1 + MG))``
-(the largest FM whose OB fits), ``cap = ceil((fm_max + 1/2) / fm_ratio) - 1``
-(the largest GM that rounds to an FM no larger).  Clustering and cutting both
-compare GM against that cap and nothing else.
+(:func:`max_filled_tokens`, the largest FM whose OB fits),
+``cap = ceil((fm_max + 1/2) / fm_ratio) - 1`` (the largest GM that rounds to an
+FM no larger).  Clustering and cutting compare GM against that cap, and the
+simulator compares FM against ``fm_max``, and nothing else.
 """
 
 from __future__ import annotations
@@ -119,10 +120,16 @@ def _filled_tokens(gm_tokens: int, fm_ratio: float) -> int:
     return math.floor(gm_tokens * _exact(fm_ratio) + Fraction(1, 2))  # round half up
 
 
+def max_filled_tokens(config: BudgetConfig, spec: ModelSpec) -> int:
+    """Largest FM whose reply fits: a piece has OB <= OL exactly when its FM is
+    at most ``fm_max = floor(OL / (1 + MG))``."""
+    return math.floor(spec.max_output_tokens / (1 + _exact(config.margin)))
+
+
 def max_piece_tokens(config: BudgetConfig, spec: ModelSpec) -> int:
     """Largest GM whose reply fits: a piece has OB <= OL exactly when its GM is
     at most this cap (see the module docstring for the closed form)."""
-    fm_max = math.floor(spec.max_output_tokens / (1 + _exact(config.margin)))
+    fm_max = max_filled_tokens(config, spec)
     return math.ceil((fm_max + Fraction(1, 2)) / _exact(config.fm_ratio)) - 1
 
 

@@ -7,24 +7,27 @@ sent, the oldest entries are evicted until the piece's input plus projected
 reply fits; a piece larger than the window then evicts its own earliest
 entries, which is precisely the failure mode worth measuring.
 
+Laid out as one stream of token offsets, that rule has a closed form.  The
+stream only grows, so after piece k the window is the longest suffix of the
+stream that ends at piece k's end offset ``end_k`` and fits in CW: an entry
+is held exactly when its start offset is at least the head ``end_k - CW``.
+The head only moves forward, so each step's evictions are found by one
+bisection over the element start offsets.
+
 A dependency miss is a (consumer, provider) pair whose provider was already
-sent but is no longer in the window when the consumer's piece lands.
-Providers that have not been sent yet (feedback edges inside coupled groups)
-are not misses — nothing was lost from the window.
+sent but is no longer in the window when the consumer's piece lands, i.e. the
+provider's start offset is below the head.  Providers that have not been sent
+yet (feedback edges inside coupled groups) are not misses — nothing was lost
+from the window.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import PieceExceedsWindow, SpecMismatch
-from .planning import ConversationPlan, output_budget
-
-_USER = "user"
-_INSTRUCTIONS = "instructions"
-_ELEMENT = "element"
-_REPLY = "reply"
+from .planning import ConversationPlan, max_filled_tokens, output_budget
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,9 @@ def simulate(
     ``context_window`` defaults to the plan's model; passing it explicitly
     supports sweeps below the model's output limit.  With ``strict`` a piece
     that cannot fit the window even on its own raises PieceExceedsWindow;
-    otherwise the run continues and the piece index is reported.
+    otherwise the run continues and the piece index is reported.  A plan that
+    sends an element twice, or one the conversation does not have, raises
+    ValueError.
     """
     cw = plan.model.context_window if context_window is None else context_window
     if cw <= 0:
@@ -68,11 +73,13 @@ def simulate(
     deps = plan.conversation.dependencies()
     inst = plan.config.instructions_per_piece
     ust = plan.conversation.user_statement_tokens
+    fm_max = max_filled_tokens(plan.config, plan.model)
 
-    window: deque[tuple[str, str, int]] = deque()  # (kind, id, tokens)
-    window_tokens = 0
-    in_window: set[str] = set()
-    sent: set[str] = set()
+    start: dict[str, int] = {}  # element id -> stream offset of its entry
+    sent: list[str] = []  # element ids in stream order
+    starts: list[int] = []  # their start offsets, non-decreasing
+    head = 0  # sent[:head] have left the window
+    end = 0  # stream offset after the last entry sent
 
     steps: list[SimulationStep] = []
     missed_pairs: list[tuple[str, str]] = []
@@ -80,61 +87,48 @@ def simulate(
     overflow = 0
     oversized: list[int] = []
 
-    def evict_one(evicted: list[str]) -> None:
-        nonlocal window_tokens
-        kind, entry_id, tokens = window.popleft()
-        window_tokens -= tokens
-        if kind == _ELEMENT:
-            in_window.discard(entry_id)
-            evicted.append(entry_id)
-
     for k, piece in enumerate(plan.pieces):
-        entries: list[tuple[str, str, int]] = []
-        if piece.includes_user_statement and ust > 0:
-            entries.append((_USER, "user-statement", ust))
-        if inst > 0:
-            entries.append((_INSTRUCTIONS, f"instructions-{k + 1}", inst))
+        piece_start = end
+        end += (ust if piece.includes_user_statement else 0) + inst
         for element_id in piece.element_ids:
-            entries.append((_ELEMENT, element_id, counts[element_id]))
-        if piece.fm_tokens > 0:
-            entries.append((_REPLY, f"reply-{k + 1}", piece.fm_tokens))
-        incoming = sum(tokens for _, _, tokens in entries)
-
+            tokens = counts.get(element_id)
+            if tokens is None:
+                raise ValueError(
+                    f"piece {k + 1} names {element_id!r}, which is not in the conversation"
+                )
+            if element_id in start:
+                raise ValueError(f"piece {k + 1} sends {element_id!r} a second time")
+            start[element_id] = end
+            sent.append(element_id)
+            starts.append(end)
+            end += tokens
+        end += piece.fm_tokens
+        incoming = end - piece_start
         if incoming > cw:
             if strict:
                 raise PieceExceedsWindow(k)
             oversized.append(k)
 
-        evicted: list[str] = []
-        while window and window_tokens + incoming > cw:
-            evict_one(evicted)
-        for entry in entries:
-            window.append(entry)
-            window_tokens += entry[2]
-            if entry[0] == _ELEMENT:
-                in_window.add(entry[1])
-                sent.add(entry[1])
-        while window_tokens > cw:
-            evict_one(evicted)
-
+        head_offset = end - cw  # the window holds exactly the entries starting here or later
+        new_head = bisect_left(starts, head_offset, head)
+        evicted = tuple(sent[head:new_head])
+        head = new_head
         for element_id in piece.element_ids:
             for provider in deps[element_id]:
-                if provider in sent and provider not in in_window:
+                # a provider not sent yet counts as held: nothing was lost
+                if start.get(provider, head_offset) < head_offset:
                     missed_pairs.append((element_id, provider))
                     lost_tokens += counts[provider]
-
-        tokens_in = incoming - (piece.fm_tokens if piece.fm_tokens > 0 else 0)
         steps.append(
             SimulationStep(
                 piece_index=k,
-                tokens_in=tokens_in,
+                tokens_in=incoming - piece.fm_tokens,
                 tokens_out=piece.fm_tokens,
-                evicted_element_ids=tuple(evicted),
+                evicted_element_ids=evicted,
             )
         )
-        overflow += max(
-            0, output_budget(piece, plan.config, plan.model).ob - plan.model.max_output_tokens
-        )
+        if piece.fm_tokens > fm_max:  # exactly when OB > OL
+            overflow -= output_budget(piece, plan.config, plan.model).ol_headroom
 
     return SimulationReport(
         model_name=plan.model.name,

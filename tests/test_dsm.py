@@ -157,6 +157,12 @@ def test_csv_rejects_malformed(text, error):
         dsm_from_csv_text(text)
 
 
+def test_csv_roundtrip_of_an_empty_matrix():
+    empty = Dsm((), np.zeros((0, 0), dtype=np.int64))
+    back = dsm_from_csv_text(write_dsm_csv(empty))
+    assert back.element_ids == () and back.weights.shape == (0, 0)
+
+
 def test_csv_parse_error_carries_line_number():
     with pytest.raises(ParseError, match="line 3"):
         dsm_from_csv_text(",a,b\na,,1\nb,?,\n")

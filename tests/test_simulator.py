@@ -1,4 +1,5 @@
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 from dsmplan.errors import PieceExceedsWindow, SpecMismatch
 from dsmplan.dsm import build_dsm
 from dsmplan.manifest import ConversationElement, ConversationModel, parse_manifest
-from dsmplan.planning import BudgetConfig, ConversationPiece, ConversationPlan, ModelSpec
-from dsmplan.simulator import compare, simulate
+from dsmplan.planning import (
+    BudgetConfig,
+    ConversationPiece,
+    ConversationPlan,
+    ModelSpec,
+    output_budget,
+)
+from dsmplan.simulator import SimulationReport, SimulationStep, compare, simulate
 
 
 def fifo_oracle(plan: ConversationPlan, cw: int) -> tuple[int, int]:
@@ -43,6 +50,108 @@ def fifo_oracle(plan: ConversationPlan, cw: int) -> tuple[int, int]:
                     misses += 1
                     lost += counts[provider]
     return misses, lost
+
+
+def fifo_replay(plan: ConversationPlan, cw: int, strict: bool = False) -> SimulationReport:
+    """The whole report from an entry-by-entry deque replay of the window."""
+    counts = plan.conversation.token_counts()
+    deps = plan.conversation.dependencies()
+    inst = plan.config.instructions_per_piece
+    ust = plan.conversation.user_statement_tokens
+
+    window: deque[tuple[str, str, int]] = deque()  # (kind, id, tokens)
+    window_tokens = 0
+    in_window: set[str] = set()
+    sent: set[str] = set()
+
+    steps: list[SimulationStep] = []
+    missed_pairs: list[tuple[str, str]] = []
+    lost_tokens = 0
+    overflow = 0
+    oversized: list[int] = []
+
+    def evict_one(evicted: list[str]) -> None:
+        nonlocal window_tokens
+        kind, entry_id, tokens = window.popleft()
+        window_tokens -= tokens
+        if kind == "element":
+            in_window.discard(entry_id)
+            evicted.append(entry_id)
+
+    for k, piece in enumerate(plan.pieces):
+        entries: list[tuple[str, str, int]] = []
+        if piece.includes_user_statement and ust > 0:
+            entries.append(("user", "user-statement", ust))
+        if inst > 0:
+            entries.append(("instructions", f"instructions-{k + 1}", inst))
+        for element_id in piece.element_ids:
+            entries.append(("element", element_id, counts[element_id]))
+        if piece.fm_tokens > 0:
+            entries.append(("reply", f"reply-{k + 1}", piece.fm_tokens))
+        incoming = sum(tokens for _, _, tokens in entries)
+
+        if incoming > cw:
+            if strict:
+                raise PieceExceedsWindow(k)
+            oversized.append(k)
+
+        evicted: list[str] = []
+        while window and window_tokens + incoming > cw:
+            evict_one(evicted)
+        for entry in entries:
+            window.append(entry)
+            window_tokens += entry[2]
+            if entry[0] == "element":
+                in_window.add(entry[1])
+                sent.add(entry[1])
+        while window_tokens > cw:
+            evict_one(evicted)
+
+        for element_id in piece.element_ids:
+            for provider in deps[element_id]:
+                if provider in sent and provider not in in_window:
+                    missed_pairs.append((element_id, provider))
+                    lost_tokens += counts[provider]
+
+        steps.append(
+            SimulationStep(
+                piece_index=k,
+                tokens_in=incoming - piece.fm_tokens,
+                tokens_out=piece.fm_tokens,
+                evicted_element_ids=tuple(evicted),
+            )
+        )
+        overflow += max(
+            0, output_budget(piece, plan.config, plan.model).ob - plan.model.max_output_tokens
+        )
+
+    return SimulationReport(
+        model_name=plan.model.name,
+        context_window=cw,
+        max_output_tokens=plan.model.max_output_tokens,
+        steps=tuple(steps),
+        dependency_misses=len(missed_pairs),
+        lost_tokens=lost_tokens,
+        output_overflow_tokens=overflow,
+        missed_pairs=tuple(missed_pairs),
+        oversized_piece_indices=tuple(oversized),
+    )
+
+
+def assert_matches_replay(
+    plan: ConversationPlan, cw: int, strict: bool = False
+) -> SimulationReport | None:
+    """``simulate`` gives the replay's report, or raises at the same piece."""
+    try:
+        want = fifo_replay(plan, cw, strict)
+    except PieceExceedsWindow as exc:
+        with pytest.raises(PieceExceedsWindow) as got:
+            simulate(plan, context_window=cw, strict=strict)
+        assert got.value.piece_index == exc.piece_index
+        return None
+    run = simulate(plan, context_window=cw, strict=strict)
+    assert run == want
+    return run
 
 
 def _conversation(counts, deps=None, ust=0):
@@ -125,6 +234,45 @@ def test_default_window_is_the_models(naive_plan):
     assert run.dependency_misses == 0  # the whole fixture fits a 32k window
 
 
+def dependency_needs(plan: ConversationPlan) -> dict[tuple[str, str], int]:
+    """Per (consumer, provider) sent no later than the consumer's piece: the
+    tokens from the provider's entry through the end of the consumer's piece,
+    reply included."""
+    counts = plan.conversation.token_counts()
+    deps = plan.conversation.dependencies()
+    start: dict[str, int] = {}
+    needs = {}
+    offset = 0
+    for piece in plan.pieces:
+        if piece.includes_user_statement:
+            offset += plan.conversation.user_statement_tokens
+        offset += plan.config.instructions_per_piece
+        for element_id in piece.element_ids:
+            start[element_id] = offset
+            offset += counts[element_id]
+        offset += piece.fm_tokens
+        for element_id in piece.element_ids:
+            for provider in deps[element_id]:
+                if provider in start:
+                    needs[element_id, provider] = offset - start[provider]
+    return needs
+
+
+@pytest.mark.parametrize("which", ["naive_plan", "reference_plan"])
+def test_each_dependency_is_lost_exactly_below_its_need(which, request):
+    plan = request.getfixturevalue(which)
+    needs = dependency_needs(plan)
+    windows = sorted({cw for need in needs.values() for cw in (need - 1, need) if cw > 0})
+    runs = {cw: assert_matches_replay(plan, cw) for cw in windows}
+    for pair, need in needs.items():
+        assert pair not in runs[need].missed_pairs
+        if need > 1:
+            assert pair in runs[need - 1].missed_pairs
+    misses = [runs[cw].dependency_misses for cw in windows]
+    lost = [runs[cw].lost_tokens for cw in windows]
+    assert misses == sorted(misses, reverse=True) and lost == sorted(lost, reverse=True)
+
+
 # ---------------------------------------------------------------------------
 # semantics on hand-built plans
 # ---------------------------------------------------------------------------
@@ -184,6 +332,25 @@ def test_step_accounting():
     assert run.steps[0].tokens_out == 7
     assert run.steps[1].tokens_in == 3 + 9
     assert run.steps[1].tokens_out == 9
+
+
+@pytest.mark.parametrize(
+    "piece_ids,message",
+    [
+        ([["a"], ["b"], ["a"], ["c"]], "'a' a second time"),
+        ([["a"], ["z"]], "'z', which is not in the conversation"),
+    ],
+)
+def test_malformed_plan_is_rejected(piece_ids, message):
+    conv = _conversation({"a": 10, "b": 10, "c": 10}, {"c": ("a",)})
+    pieces = tuple(
+        ConversationPiece((e,), 10, 10, includes_user_statement=(k == 0))
+        for k, (e,) in enumerate(piece_ids)
+    )
+    plan = ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
+    for cw in (50, 60, 70, 80):
+        with pytest.raises(ValueError, match=message):
+            simulate(plan, context_window=cw)
 
 
 def test_oversized_piece_reported_or_raised(naive_plan):
@@ -287,7 +454,8 @@ def test_huge_window_never_misses(plan):
 @st.composite
 def any_order_plan(draw):
     """Elements in any order, dependencies in both directions (feedback
-    included), zero-token elements, and replies unrelated to the piece size."""
+    included), zero-token elements, replies unrelated to the piece size, and
+    margins and output limits under which some replies overflow."""
     n = draw(st.integers(min_value=1, max_value=8))
     ids = [f"e{i}" for i in range(n)]
     counts = {e: draw(st.integers(min_value=0, max_value=40)) for e in ids}
@@ -305,8 +473,13 @@ def any_order_plan(draw):
         )
         for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
     )
-    config = BudgetConfig(margin=0.0, instructions_per_piece=draw(st.integers(min_value=0, max_value=10)))
-    return ConversationPlan(pieces=pieces, model=ModelSpec("m", 10**6, 10**6), config=config, conversation=conv)
+    config = BudgetConfig(
+        margin=draw(st.sampled_from([0.0, 0.05, 0.1])),
+        instructions_per_piece=draw(st.integers(min_value=0, max_value=10)),
+    )
+    # a small OL, so some replies overflow it
+    spec = ModelSpec("m", 10**6, draw(st.integers(min_value=1, max_value=60)))
+    return ConversationPlan(pieces=pieces, model=spec, config=config, conversation=conv)
 
 
 def _entry_tokens(plan: ConversationPlan, piece: ConversationPiece) -> int:
@@ -336,3 +509,9 @@ def test_simulation_conserves_tokens(plan, cw):
     roomy = simulate(plan, context_window=max(whole, 1))
     assert all(step.evicted_element_ids == () for step in roomy.steps)
     assert (roomy.dependency_misses, roomy.lost_tokens, roomy.missed_pairs) == (0, 0, ())
+
+
+@given(any_order_plan(), st.integers(min_value=1, max_value=300), st.booleans())
+@settings(max_examples=300)
+def test_simulate_matches_fifo_replay(plan, cw, strict):
+    assert_matches_replay(plan, cw, strict)
