@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -64,6 +65,8 @@ class ClusterParams:
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.size_mode not in (SIZE_MODE_COUNT, SIZE_MODE_TOKENS):
             raise ValueError(f"unknown size mode {self.size_mode!r}")
         if self.max_cluster_tokens is not None and self.max_cluster_tokens <= 0:
@@ -116,15 +119,12 @@ def _mean_tokens(params: ClusterParams, tok: np.ndarray | None) -> float:
 
 def _size_sq(labels: np.ndarray, params: ClusterParams, tok: np.ndarray | None) -> float:
     mean = _mean_tokens(params, tok)
-    counts: dict[int, float] = {}
-    for pos, label in enumerate(labels.tolist()):
-        if mean == 0.0:
-            counts[label] = counts.get(label, 0) + 1
-        else:
-            counts[label] = counts.get(label, 0) + int(tok[pos])  # type: ignore[index]
     if mean == 0.0:
-        return float(sum(c * c for c in counts.values()))
-    return float(sum((c / mean) ** 2 for c in counts.values()))
+        return float(sum(c * c for c in Counter(labels.tolist()).values()))
+    sums: dict[int, int] = {}
+    for label, tokens in zip(labels.tolist(), tok.tolist()):  # type: ignore[union-attr]
+        sums[label] = sums.get(label, 0) + tokens
+    return float(sum((c / mean) ** 2 for c in sums.values()))
 
 
 def _interaction(dsm: Dsm, labels: np.ndarray) -> int:
@@ -155,15 +155,11 @@ def clustering_cost(
     return params.alpha * size_sq + params.beta * interaction
 
 
-def _canonical(labels: np.ndarray) -> tuple[np.ndarray, int]:
+def _canonical(labels: np.ndarray) -> tuple[list[int], int]:
     """Relabel clusters by first appearance; returns (labels, cluster count)."""
     mapping: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for pos, label in enumerate(labels.tolist()):
-        if label not in mapping:
-            mapping[label] = len(mapping)
-        out[pos] = mapping[label]
-    return out, len(mapping)
+    canon = [mapping.setdefault(label, len(mapping)) for label in labels.tolist()]
+    return canon, len(mapping)
 
 
 def _cap_ok(labels: np.ndarray, tok: np.ndarray | None, cap: int | None) -> bool:
@@ -303,9 +299,10 @@ def _finalize(
     dsm: Dsm, labels: np.ndarray, params: ClusterParams, tok: np.ndarray | None
 ) -> ClusterAssignment:
     canon, num_clusters = _canonical(labels)
-    cluster_of = {e: int(canon[k]) for k, e in enumerate(dsm.element_ids)}
-    size_sq = _size_sq(canon, params, tok)
-    interaction = _interaction(dsm, canon)
+    cluster_of = dict(zip(dsm.element_ids, canon))
+    canon_labels = np.array(canon, dtype=np.int64)
+    size_sq = _size_sq(canon_labels, params, tok)
+    interaction = _interaction(dsm, canon_labels)
     return ClusterAssignment(
         cluster_of=cluster_of,
         num_clusters=num_clusters,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import DuplicateId, ParseError, SelfDependency, UnknownDependency
 from .tokens import APPROXIMATE, TokenCountProvider, count_for_element, count_tokens_approx
@@ -128,7 +128,19 @@ def _statement_tokens(raw: Any, what: str) -> int:
     raise ParseError(f"{what} must be a string or an object with a 'tokens' key")
 
 
-def _parse_element(raw: Any, position: int) -> ConversationElement:
+class _ElementFields(NamedTuple):
+    """An element's validated manifest fields, before its count is resolved;
+    it has the ``id``/``dependencies``/``text``/``token_count`` that
+    :func:`check_references` and :func:`count_for_element` read."""
+
+    id: str
+    label: str
+    dependencies: tuple[str, ...]
+    text: str | None
+    token_count: int | None
+
+
+def _parse_element(raw: Any, position: int) -> _ElementFields:
     if not isinstance(raw, dict):
         raise ParseError(f"elements[{position}] is not an object")
     element_id = raw.get("id")
@@ -146,15 +158,18 @@ def _parse_element(raw: Any, position: int) -> ConversationElement:
     tokens = raw.get("tokens")
     if tokens is not None and (not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0):
         raise ParseError(f"element {element_id!r}: tokens must be a non-negative integer")
-    return ConversationElement(
-        id=element_id, label=label, dependencies=tuple(deps), text=text, token_count=tokens
-    )
+    return _ElementFields(element_id, label, tuple(deps), text, tokens)
 
 
 def parse_manifest(
     path: str | Path, provider: TokenCountProvider | None = None
 ) -> ConversationModel:
-    """Parse ``path`` into a ConversationModel with resolved token counts."""
+    """Parse ``path`` into a ConversationModel with resolved token counts.
+
+    Errors come in this order: any malformed element field, then the
+    :func:`check_references` errors, then per element in order a text-and-
+    tokens clash, a count the provider cannot resolve, or a negative count.
+    """
     provider = provider or TokenCountProvider.approximate()
     doc = read_json_file(path, "manifest")
     if not isinstance(doc, dict):
@@ -163,18 +178,17 @@ def parse_manifest(
     if not isinstance(raw_elements, list):
         raise ParseError("manifest needs an 'elements' list")
 
-    elements = [_parse_element(raw, k) for k, raw in enumerate(raw_elements)]
-    check_references(elements)
-    resolved = []
-    for element in elements:
-        if provider.mode == APPROXIMATE and element.text is not None and element.token_count is not None:
-            raise ParseError(f"element {element.id!r} has both text and a literal token count")
-        count = count_for_element(element, provider)
-        resolved.append(
-            ConversationElement(element.id, element.label, element.dependencies, element.text, count)
-        )
+    fields = [_parse_element(raw, k) for k, raw in enumerate(raw_elements)]
+    check_references(fields)  # type: ignore[arg-type]
+    approximate = provider.mode == APPROXIMATE
+    elements = []
+    for f in fields:
+        if approximate and f.text is not None and f.token_count is not None:
+            raise ParseError(f"element {f.id!r} has both text and a literal token count")
+        count = count_for_element(f, provider)  # type: ignore[arg-type]
+        elements.append(ConversationElement(f.id, f.label, f.dependencies, f.text, count))
     return ConversationModel(
-        elements=tuple(resolved),
+        elements=tuple(elements),
         user_statement_tokens=_statement_tokens(doc.get("user_statement"), "user_statement"),
         instruction_tokens=_statement_tokens(doc.get("instructions"), "instructions"),
     )

@@ -11,8 +11,10 @@ Glossary used throughout (all counts are tokens):
 * OL / CW — a model's max output tokens / context window
 
 A plan is feasible when every piece has OB <= OL and the whole conversation
-has WB <= CW.  Margins are treated as exact decimals (``Fraction(str(m))``)
-so e.g. a 5% margin on 20 tokens is exactly 21, not a float whisker above.
+has WB <= CW.  Margins and FM ratios are treated as exact decimals
+(``Fraction(str(m))``, as the integer pair ``p/q``) and every rounding is an
+integer division, so e.g. a 5% margin on 20 tokens is exactly 21, not a float
+whisker above.
 
 OB never decreases as GM grows, so "OB <= OL" is the same as "GM <= cap" for
 one integer, :func:`max_piece_tokens`: with ``fm_max = floor(OL / (1 + MG))``
@@ -28,6 +30,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .clustering import ClusterAssignment, ClusterParams, cluster
@@ -66,6 +69,8 @@ class BudgetConfig:
             raise ValueError("margin must be in [0, 1)")
         if self.fm_ratio <= 0:
             raise ValueError("fm_ratio must be positive")
+        if not math.isfinite(self.fm_ratio):
+            raise ValueError("fm_ratio must be finite")
         if self.instructions_per_piece < 0:
             raise ValueError("instructions_per_piece must be non-negative")
 
@@ -106,31 +111,38 @@ class TokenBudgetReport:
     feasible: bool
 
 
-def _exact(ratio: float) -> Fraction:
-    # str() round-trips the decimal the caller wrote, e.g. 0.05 -> 1/20
-    return Fraction(str(ratio))
+@lru_cache(maxsize=64)
+def _exact(ratio: float) -> tuple[int, int]:
+    """``ratio`` as the exact decimal the caller wrote, in lowest terms ``(p, q)``:
+    str() round-trips it, e.g. 0.05 -> (1, 20).  Cached, as configs repeat."""
+    return Fraction(str(ratio)).as_integer_ratio()
 
 
 def _inflate(tokens: int, margin: float) -> int:
     """ceil(tokens * (1 + margin)) with the margin read as an exact decimal."""
-    return math.ceil(tokens * (1 + _exact(margin)))
+    p, q = _exact(margin)
+    return -(-tokens * (q + p) // q)
 
 
 def _filled_tokens(gm_tokens: int, fm_ratio: float) -> int:
-    return math.floor(gm_tokens * _exact(fm_ratio) + Fraction(1, 2))  # round half up
+    """round(gm_tokens * fm_ratio), half up, with the ratio read as an exact decimal."""
+    p, q = _exact(fm_ratio)
+    return (2 * gm_tokens * p + q) // (2 * q)
 
 
 def max_filled_tokens(config: BudgetConfig, spec: ModelSpec) -> int:
     """Largest FM whose reply fits: a piece has OB <= OL exactly when its FM is
     at most ``fm_max = floor(OL / (1 + MG))``."""
-    return math.floor(spec.max_output_tokens / (1 + _exact(config.margin)))
+    p, q = _exact(config.margin)
+    return spec.max_output_tokens * q // (q + p)
 
 
 def max_piece_tokens(config: BudgetConfig, spec: ModelSpec) -> int:
     """Largest GM whose reply fits: a piece has OB <= OL exactly when its GM is
     at most this cap (see the module docstring for the closed form)."""
     fm_max = max_filled_tokens(config, spec)
-    return math.ceil((fm_max + Fraction(1, 2)) / _exact(config.fm_ratio)) - 1
+    p, q = _exact(config.fm_ratio)
+    return -(-(2 * fm_max + 1) * q // (2 * p)) - 1  # ceil((fm_max + 1/2) / fm_ratio) - 1
 
 
 def output_budget(piece: ConversationPiece, config: BudgetConfig, spec: ModelSpec) -> PieceBudget:

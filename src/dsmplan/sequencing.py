@@ -34,9 +34,10 @@ def reachability(dsm: Dsm) -> np.ndarray:
 
 
 def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; returns components as lists of vertex indices."""
+    """Iterative Tarjan; returns components as lists of vertex indices, each
+    after every component it reaches (reverse topological order)."""
     n = len(succ)
-    index: list[int | None] = [None] * n
+    index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
@@ -44,41 +45,40 @@ def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
     counter = 0
 
     for root in range(n):
-        if index[root] is not None:
+        if index[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]  # the DFS path, each with its unvisited successors
         while work:
-            v, child_pos = work[-1]
-            if child_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for pos in range(child_pos, len(succ[v])):
-                w = succ[v][pos]
-                if index[w] is None:
-                    work[-1] = (v, pos + 1)
-                    work.append((w, 0))
-                    descended = True
+            v, children = work[-1]
+            for w in children:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])  # type: ignore[arg-type]
-            if descended:
-                continue
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    component.append(u)
-                    if u == v:
-                        break
-                components.append(component)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # every successor of v is done
+                work.pop()
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        component.append(u)
+                        if u == v:
+                            break
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     return components
 
 
@@ -103,56 +103,41 @@ def sequence(dsm: Dsm) -> SequencingResult:
     """
     n = dsm.n
     rows, cols, _ = dsm.marks
-    consumers, providers = rows.tolist(), cols.tolist()
     succ: list[list[int]] = [[] for _ in range(n)]  # provider -> consumers
-    for i, j in zip(consumers, providers):
+    for i, j in zip(rows.tolist(), cols.tolist()):
         succ[j].append(i)
 
-    components = _tarjan_sccs(succ)
+    # Tarjan emits a component only after every component it reaches, so the
+    # reversed list puts each provider component before its consumers
+    components = _tarjan_sccs(succ)[::-1]
     comp_of = [0] * n
     for comp_index, members in enumerate(components):
         for v in members:
             comp_of[v] = comp_index
 
-    preds: list[set[int]] = [set() for _ in components]
-    succs: list[set[int]] = [set() for _ in components]
-    for i, j in zip(consumers, providers):
-        ci, cj = comp_of[i], comp_of[j]
-        if ci != cj:
-            preds[ci].add(cj)
-            succs[cj].add(ci)
+    # longest-path leveling over the condensation, in that topological order
+    level = [1] * len(components)
+    for c, members in enumerate(components):
+        next_level = level[c] + 1
+        for v in members:
+            for w in succ[v]:
+                d = comp_of[w]
+                if d != c and level[d] < next_level:
+                    level[d] = next_level
 
-    # longest-path leveling over the condensation (Kahn order)
-    level = [0] * len(components)
-    indegree = [len(p) for p in preds]
-    queue = [c for c, d in enumerate(indegree) if d == 0]
-    for c in queue:
-        level[c] = 1
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
-        for s in succs[c]:
-            level[s] = max(level[s], level[c] + 1)
-            indegree[s] -= 1
-            if indegree[s] == 0:
-                queue.append(s)
-
-    members_sorted = [sorted(m) for m in components]  # manifest order inside a component
-    by_level: dict[int, list[int]] = {}
-    for comp_index in range(len(components)):
-        by_level.setdefault(level[comp_index], []).append(comp_index)
+    by_level: dict[int, list[list[int]]] = {}
+    for c, members in enumerate(components):
+        by_level.setdefault(level[c], []).append(sorted(members))  # manifest order inside
 
     levels: list[tuple[str, ...]] = []
     flat: list[int] = []
     cycles: list[tuple[str, ...]] = []
     for lvl in sorted(by_level):
-        comps_here = sorted(by_level[lvl], key=lambda c: members_sorted[c][0])
         level_indices: list[int] = []
-        for comp_index in comps_here:
-            level_indices.extend(members_sorted[comp_index])
-            if len(members_sorted[comp_index]) >= 2:
-                cycles.append(tuple(dsm.element_ids[v] for v in members_sorted[comp_index]))
+        for members in sorted(by_level[lvl]):  # disjoint sorted lists: by first member
+            level_indices.extend(members)
+            if len(members) >= 2:
+                cycles.append(tuple(dsm.element_ids[v] for v in members))
         levels.append(tuple(dsm.element_ids[v] for v in level_indices))
         flat.extend(level_indices)
 

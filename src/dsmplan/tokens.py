@@ -31,15 +31,20 @@ def count_tokens_approx(text: str) -> int:
     ``count(a + " " + b) == count(a) + count(b)``.
     """
     tokens = 0
-    in_run = False
-    for ch in text:
-        if ch.isalnum():
-            if not in_run:
-                tokens += 1
-                in_run = True
-        else:
-            in_run = False
-            if not ch.isspace():
+    # str.split() splits on exactly the characters str.isspace() accepts, so
+    # an all-alphanumeric word is one run and only the others need a scan
+    for word in text.split():
+        if word.isalnum():
+            tokens += 1
+            continue
+        in_run = False
+        for ch in word:
+            if ch.isalnum():
+                if not in_run:
+                    tokens += 1
+                    in_run = True
+            else:
+                in_run = False
                 tokens += 1
     return tokens
 

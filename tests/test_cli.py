@@ -278,6 +278,31 @@ def test_config_values_are_checked(tmp_path, capsys, setting):
     assert err.startswith("error: config ") and f"{next(iter(setting))} must be" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cluster", "--alpha", "nan"),
+        ("plan", "--beta", "inf"),
+        ("plan", "--fm-ratio", "nan"),
+        ("budget", "--fm-ratio", "inf"),
+        ("simulate", "--alpha", "inf"),
+    ],
+)
+def test_non_finite_flags_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--manifest", MANIFEST)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize("setting", ['"alpha": NaN', '"beta": Infinity', '"fm_ratio": NaN', '"fm_ratio": Infinity'])
+def test_non_finite_config_values_exit_two(tmp_path, capsys, setting):
+    config = tmp_path / "run.json"
+    config.write_text("{" + setting + "}")
+    code, out, err = run_cli(capsys, "plan", "--manifest", MANIFEST, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be finite" in err
+
+
 def test_config_accepts_json_spellings_of_the_flags(tmp_path, capsys):
     # an integer where a number is due, null for an unset default, false for a flag
     config = tmp_path / "run.json"

@@ -12,6 +12,7 @@ from dsmplan.clustering import (
     brute_force_cluster,
     cluster,
     clustering_cost,
+    _canonical,
     _cap_ok,
     _finalize,
     _growth_strings,
@@ -450,3 +451,16 @@ def test_params_validation():
         ClusterParams(restarts=0)
     with pytest.raises(ValueError):
         ClusterParams(max_cluster_tokens=0)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_weights(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        ClusterParams(**{field: value})
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=20))
+def test_canonical_relabels_by_first_appearance(labels):
+    first_seen = list(dict.fromkeys(labels))
+    assert _canonical(np.array(labels)) == ([first_seen.index(x) for x in labels], len(first_seen))

@@ -12,8 +12,62 @@ from dsmplan.errors import (
     SelfDependency,
     UnknownDependency,
 )
-from dsmplan.manifest import ConversationModel, parse_manifest
-from dsmplan.tokens import TokenCountProvider
+from dsmplan import manifest
+from dsmplan.data import SPACECRAFT_MANIFEST
+from dsmplan.manifest import (
+    ConversationElement,
+    ConversationModel,
+    _statement_tokens,
+    check_references,
+    parse_manifest,
+    read_json_file,
+)
+from dsmplan.tokens import APPROXIMATE, TokenCountProvider, count_for_element
+
+
+def parse_twice(path, provider=None) -> ConversationModel:
+    """The two-pass parse the library used before it built each element once:
+    every element is built from its fields, then built again with its count."""
+    provider = provider or TokenCountProvider.approximate()
+    doc = read_json_file(path, "manifest")
+    if not isinstance(doc, dict):
+        raise ParseError("manifest root must be an object")
+    raw_elements = doc.get("elements")
+    if not isinstance(raw_elements, list):
+        raise ParseError("manifest needs an 'elements' list")
+
+    elements = []
+    for position, raw in enumerate(raw_elements):
+        if not isinstance(raw, dict):
+            raise ParseError(f"elements[{position}] is not an object")
+        element_id = raw.get("id")
+        if not isinstance(element_id, str) or not element_id:
+            raise ParseError(f"elements[{position}] needs a non-empty string id")
+        label = raw.get("label", element_id)
+        if not isinstance(label, str):
+            raise ParseError(f"element {element_id!r}: label must be a string")
+        deps = raw.get("deps", [])
+        if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
+            raise ParseError(f"element {element_id!r}: deps must be a list of ids")
+        text = raw.get("text")
+        if text is not None and not isinstance(text, str):
+            raise ParseError(f"element {element_id!r}: text must be a string")
+        tokens = raw.get("tokens")
+        if tokens is not None and (not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0):
+            raise ParseError(f"element {element_id!r}: tokens must be a non-negative integer")
+        elements.append(ConversationElement(element_id, label, tuple(deps), text, tokens))
+    check_references(elements)
+    resolved = []
+    for element in elements:
+        if provider.mode == APPROXIMATE and element.text is not None and element.token_count is not None:
+            raise ParseError(f"element {element.id!r} has both text and a literal token count")
+        count = count_for_element(element, provider)
+        resolved.append(ConversationElement(element.id, element.label, element.dependencies, element.text, count))
+    return ConversationModel(
+        elements=tuple(resolved),
+        user_statement_tokens=_statement_tokens(doc.get("user_statement"), "user_statement"),
+        instruction_tokens=_statement_tokens(doc.get("instructions"), "instructions"),
+    )
 
 
 def _write(tmp_path, payload):
@@ -157,15 +211,22 @@ _JSON = st.recursive(
 
 @st.composite
 def _manifests(draw):
-    """A valid manifest, with one value swapped for arbitrary JSON half the time."""
+    """A manifest, now and then with a repeated id, a self or unknown dependency,
+    or an element with both text and tokens or neither; and with one value
+    swapped for arbitrary JSON half the time."""
     ids = draw(st.lists(st.sampled_from("abcdefgh"), unique=True, max_size=5))
+    if ids and draw(st.integers(0, 9)) == 0:
+        ids.append(draw(st.sampled_from(ids)))
     elements: list = []
     for k, element_id in enumerate(ids):
         deps = draw(st.lists(st.sampled_from(ids[:k]), max_size=2)) if k else []
+        if draw(st.integers(0, 19)) == 0:
+            deps.append(draw(st.sampled_from([element_id, "z"])))
         element = {"id": element_id, "deps": deps}
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["text", "tokens"] * 4 + ["both", "neither"]))
+        if kind in ("text", "both"):
             element["text"] = draw(st.text(max_size=12))
-        else:
+        if kind in ("tokens", "both"):
             element["tokens"] = draw(st.integers(0, 50))
         elements.append(element)
     doc = {"elements": elements, "user_statement": {"tokens": draw(st.integers(0, 50))}, "instructions": "do it"}
@@ -176,11 +237,11 @@ def _manifests(draw):
     return doc
 
 
+_DOCUMENTS = st.one_of(_manifests().map(lambda doc: json.dumps(doc).encode()), st.binary(max_size=40))
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(_manifests().map(lambda doc: json.dumps(doc).encode()), st.binary(max_size=40)),
-    st.sampled_from([None, TokenCountProvider.from_table({"a": 3, "b": 0})]),
-)
+@given(_DOCUMENTS, st.sampled_from([None, TokenCountProvider.from_table({"a": 3, "b": 0})]))
 def test_parse_manifest_is_total(tmp_path_factory, document, provider):
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_bytes(document)
@@ -189,3 +250,50 @@ def test_parse_manifest_is_total(tmp_path_factory, document, provider):
     except DsmPlanError:
         return
     assert isinstance(model, ConversationModel)
+
+
+def _outcome(parse, path, provider):
+    try:
+        return parse(path, provider)
+    except (DsmPlanError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _DOCUMENTS,
+    st.sampled_from(
+        [
+            TokenCountProvider.approximate(),
+            TokenCountProvider.from_table({"a": 3, "b": 0}),  # the other ids are missing
+            TokenCountProvider.from_table({"a": 3, "b": -1, "c": 4, "d": -2}),  # built in code: unchecked
+        ]
+    ),
+)
+def test_parse_manifest_matches_two_pass_parse(tmp_path_factory, document, provider):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_bytes(document)
+    assert _outcome(parse_manifest, path, provider) == _outcome(parse_twice, path, provider)
+
+
+def test_parse_manifest_builds_each_element_once(monkeypatch):
+    built = []
+
+    class CountingElement(ConversationElement):
+        def __post_init__(self):
+            built.append(self.id)
+            super().__post_init__()
+
+    monkeypatch.setattr(manifest, "ConversationElement", CountingElement)
+    model = parse_manifest(SPACECRAFT_MANIFEST)
+    assert built == list(model.element_ids)
+
+
+def test_negative_table_count_fails_after_the_reference_check(tmp_path):
+    provider = TokenCountProvider.from_table({"x": -1})
+    path = _write(tmp_path, {"elements": [{"id": "x"}]})
+    with pytest.raises(ValueError, match="negative token count"):
+        parse_manifest(path, provider)
+    path = _write(tmp_path, {"elements": [{"id": "x", "deps": ["nope"]}]})
+    with pytest.raises(UnknownDependency):
+        parse_manifest(path, provider)

@@ -1,9 +1,11 @@
+import math
 from collections import Counter
 from decimal import ROUND_CEILING, ROUND_HALF_UP, Decimal
+from fractions import Fraction
 from itertools import groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dsmplan.clustering import ClusterParams, assignment_from_groups
@@ -21,10 +23,13 @@ from dsmplan.planning import (
     load_model_catalog,
     make_naive_plan,
     make_pieces,
+    max_filled_tokens,
     max_piece_tokens,
     output_budget,
     plan_conversation,
     window_budget,
+    _filled_tokens,
+    _inflate,
 )
 from dsmplan.sequencing import sequence
 
@@ -105,6 +110,42 @@ def test_fm_half_exactly_rounds_up():
     spec = ModelSpec("m", 10 **6, 10 **6)
     plan = literal_plan([3], BudgetConfig(fm_ratio=0.5), spec)
     assert plan.pieces[0].fm_tokens == 2  # 1.5 -> 2, not banker's
+
+
+# decimals as a caller writes them: up to six places, margins in [0, 1), ratios in (0, 10]
+_DECIMAL_MARGINS = st.integers(0, 10**6 - 1).map(lambda k: k / 10**6)
+_DECIMAL_RATIOS = st.integers(1, 10**7).map(lambda k: k / 10**6)
+
+
+@given(st.integers(0, 10**9), _DECIMAL_MARGINS | st.floats(0, 1, exclude_max=True))
+@example(20, 0.05)
+def test_integer_inflate_is_the_fraction_form(tokens, margin):
+    exact = 1 + Fraction(str(margin))
+    assert _inflate(tokens, margin) == math.ceil(tokens * exact)
+    spec = ModelSpec("m", 10**9, max(tokens, 1))
+    assert max_filled_tokens(BudgetConfig(margin=margin), spec) == math.floor(spec.max_output_tokens / exact)
+
+
+@given(st.integers(0, 10**9), _DECIMAL_MARGINS)
+def test_integer_inflate_matches_decimal_oracle(tokens, margin):
+    assert _inflate(tokens, margin) == ceil_inflate_oracle(tokens, margin)
+
+
+@given(st.integers(0, 10**9), _DECIMAL_RATIOS | st.floats(0, 10, exclude_min=True))
+@example(3, 0.5)  # the half-way cases round up
+@example(1, 0.5)
+@example(2, 0.25)
+@example(5, 0.1)
+@example(10**9 - 1, 0.5)
+def test_integer_filled_tokens_is_the_fraction_form(gm, ratio):
+    assert _filled_tokens(gm, ratio) == math.floor(gm * Fraction(str(ratio)) + Fraction(1, 2))
+
+
+@given(st.integers(0, 10**9), _DECIMAL_RATIOS)
+@example(3, 0.5)
+@example(5, 0.1)
+def test_integer_filled_tokens_matches_decimal_oracle(gm, ratio):
+    assert _filled_tokens(gm, ratio) == round_half_up_oracle(gm, ratio)
 
 
 def test_max_piece_tokens():
@@ -417,3 +458,10 @@ def test_budget_config_validation():
         BudgetConfig(fm_ratio=0)
     with pytest.raises(ValueError):
         BudgetConfig(instructions_per_piece=-1)
+
+
+@pytest.mark.parametrize("field", ["margin", "fm_ratio"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_budget_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        BudgetConfig(**{field: value})

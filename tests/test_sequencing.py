@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmplan.dsm import Dsm, above_diagonal_marks, permute
-from dsmplan.sequencing import reachability, sequence
+from dsmplan.dsm import Dsm, Permutation, above_diagonal_marks, permute
+from dsmplan.sequencing import SequencingResult, reachability, sequence
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,44 @@ def dag_levels(d: Dsm) -> dict[str, int]:
         return memo[i]
 
     return {d.element_ids[i]: lvl(i) for i in range(n)}
+
+
+def kahn_sequence(d: Dsm) -> SequencingResult:
+    """Sequencing by set-based Kahn leveling over the mutual-reachability
+    classes: the leveling the library used before it leveled in Tarjan order."""
+    n = d.n
+    components = [sorted(group) for group in mutual_groups(closure_by_dfs(d))]
+    comp_of = {v: c for c, members in enumerate(components) for v in members}
+    preds: list[set[int]] = [set() for _ in components]
+    succs: list[set[int]] = [set() for _ in components]
+    for i in range(n):
+        for j in range(n):
+            if d.weights[i, j] and comp_of[i] != comp_of[j]:
+                preds[comp_of[i]].add(comp_of[j])
+                succs[comp_of[j]].add(comp_of[i])
+    level = [0] * len(components)
+    indegree = [len(p) for p in preds]
+    queue = [c for c, deg in enumerate(indegree) if deg == 0]
+    for c in queue:
+        level[c] = 1
+    head = 0
+    while head < len(queue):
+        c = queue[head]
+        head += 1
+        for s in succs[c]:
+            level[s] = max(level[s], level[c] + 1)
+            indegree[s] -= 1
+            if indegree[s] == 0:
+                queue.append(s)
+
+    levels, flat, cycles = [], [], []
+    for lvl in sorted(set(level)):
+        here = sorted((c for c in range(len(components)) if level[c] == lvl), key=lambda c: components[c][0])
+        indices = [v for c in here for v in components[c]]
+        cycles += [tuple(d.element_ids[v] for v in components[c]) for c in here if len(components[c]) >= 2]
+        levels.append(tuple(d.element_ids[v] for v in indices))
+        flat += indices
+    return SequencingResult(d.element_ids, tuple(levels), Permutation(tuple(flat)), tuple(cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +198,12 @@ def test_dag_levels_match_longest_path_oracle(d):
     assert seq.cycles == ()
     got = {e: k for k, level in enumerate(seq.levels, start=1) for e in level}
     assert got == dag_levels(d)
+
+
+@given(random_digraph(max_n=10))
+@settings(max_examples=300)
+def test_sequence_matches_kahn_oracle(d):
+    assert sequence(d) == kahn_sequence(d)
 
 
 @given(random_digraph())

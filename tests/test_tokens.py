@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,33 @@ from dsmplan.tokens import (
     count_tokens_approx,
     load_token_table,
 )
+
+
+def count_by_char(text: str) -> int:
+    """The per-character counter the word-wise one replaced, kept as its oracle."""
+    tokens = 0
+    in_run = False
+    for ch in text:
+        if ch.isalnum():
+            if not in_run:
+                tokens += 1
+                in_run = True
+        else:
+            in_run = False
+            if not ch.isspace():
+                tokens += 1
+    return tokens
+
+
+# ASCII words, punctuation and "_", Unicode letters and digits that are
+# alphanumeric but not ASCII, every whitespace class (ASCII, the \x1c-\x1f
+# separators, NEL, NBSP, the line/paragraph separators, the ideographic space)
+# and a zero-width space, which is no whitespace
+_MIXED = st.sampled_from(
+    ["a", "Z", "7", "word", ",", ".", "'", "-", "_", "é", "٣", "²", "Ⅻ", "中",
+     " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+     "\x85", "\xa0", "\u2028", "\u2029", "\u3000", "\u200b"]
+)  # fmt: skip
 
 
 @pytest.mark.parametrize(
@@ -27,6 +56,17 @@ from dsmplan.tokens import (
 )
 def test_approx_counts(text, count):
     assert count_tokens_approx(text) == count
+
+
+@given(st.lists(_MIXED, max_size=40).map("".join) | st.text(max_size=200))
+def test_approx_counts_as_by_char(text):
+    assert count_tokens_approx(text) == count_by_char(text)
+
+
+def test_every_code_point_counts_as_by_char():
+    chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    for texts in (chars, ["a" + ch + "b" for ch in chars]):
+        assert [t for t in texts if count_tokens_approx(t) != count_by_char(t)] == []
 
 
 @given(st.text(max_size=200), st.text(max_size=200))
