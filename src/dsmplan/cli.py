@@ -3,6 +3,11 @@
 Subcommands mirror the pipeline stages: ``dsm``, ``sequence``, ``cluster``,
 ``plan``, ``budget``, ``simulate``.  Settings come from built-in defaults,
 then an optional ``--config`` JSON file, then explicit flags (flags win).
+Each setting is declared once, in ``_SETTINGS``; the defaults of the search
+and budget settings are those of :class:`ClusterParams` and
+:class:`BudgetConfig`.  Every setting, whether from a flag or ``--config``,
+is checked whichever subcommand runs, by the rules of the library object
+that holds it.
 Exit codes: 0 success/feasible, 1 analysis says infeasible (report still
 printed), 2 bad input.  Output for a fixed invocation is byte-identical
 across runs.
@@ -14,9 +19,9 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Any
+from typing import Any, NamedTuple
 
-from .clustering import ClusterParams
+from .clustering import SIZE_MODE_COUNT, SIZE_MODE_TOKENS, ClusterParams
 from .dsm import Dsm, build_dsm, permute, to_binary, write_dsm_csv
 from .errors import DsmPlanError, ParseError, PieceExceedsWindow, UnsplittablePiece
 from .manifest import ConversationModel, parse_manifest, read_json_file
@@ -38,56 +43,41 @@ from .sequencing import SequencingResult, sequence
 from .simulator import SimulationReport, compare, simulate
 from .tokens import TokenCountProvider, load_token_table
 
-_DEFAULTS: dict[str, Any] = {
-    "manifest": None,
-    "model": "mistral-7b",
-    "catalog": None,
-    "alpha": 2.0,
-    "beta": 1.0,
-    "size_mode": "count",
-    "seed": 42,
-    "restarts": 32,
-    "margin": 0.05,
-    "fm_ratio": 1.0,
-    "instructions": None,  # None -> use the manifest's instruction block
-    "tokens": "approx",
-    "cw": None,
-    "ol": None,
-    "format": None,  # None -> per-command default
-    "naive": False,
-    "binary": False,
-    "permute": "none",
-    "fm": None,
-    "ust": None,
-}
 
-# the type a --config value must have (a number may be written as an integer);
-# null is also accepted where the default above is None
-_CONFIG_TYPES: dict[str, type] = {
-    "manifest": str,
-    "model": str,
-    "catalog": str,
-    "alpha": float,
-    "beta": float,
-    "size_mode": str,
-    "seed": int,
-    "restarts": int,
-    "margin": float,
-    "fm_ratio": float,
-    "instructions": int,
-    "tokens": str,
-    "cw": int,
-    "ol": int,
-    "format": str,
-    "naive": bool,
-    "binary": bool,
-    "permute": str,
-    "fm": str,
-    "ust": int,
+class _Setting(NamedTuple):
+    """One setting: the flag ``--<key>`` (underscores as dashes) and the config key ``<key>``."""
+
+    default: Any  # None: unset, and a --config file may give null
+    type: type  # the value's type; a bool setting is an on/off flag
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    metavar: str | None = None
+
+
+_SETTINGS: dict[str, _Setting] = {
+    "manifest": _Setting(None, str, help="conversation manifest (JSON)", metavar="PATH"),
+    "model": _Setting("mistral-7b", str, help="model name from the catalog (default mistral-7b)"),
+    "catalog": _Setting(None, str, help="model catalog CSV (default bundled)", metavar="PATH"),
+    "alpha": _Setting(ClusterParams.alpha, float, help="cluster size penalty weight"),
+    "beta": _Setting(ClusterParams.beta, float, help="outside-cluster interaction weight"),
+    "size_mode": _Setting(ClusterParams.size_mode, str, (SIZE_MODE_COUNT, SIZE_MODE_TOKENS)),
+    "seed": _Setting(ClusterParams.seed, int, help="master random seed"),
+    "restarts": _Setting(ClusterParams.restarts, int, help="annealing restarts"),
+    "margin": _Setting(BudgetConfig.margin, float, help="safety margin on budgets, e.g. 0.05"),
+    "fm_ratio": _Setting(BudgetConfig.fm_ratio, float, help="filled/generic token ratio"),
+    # None -> charge the manifest's instruction block
+    "instructions": _Setting(None, int, help="instruction tokens charged per piece"),
+    "tokens": _Setting("approx", str, help="'approx' or 'table:PATH'", metavar="MODE"),
+    "cw": _Setting(None, int, help="context window override"),
+    "ol": _Setting(None, int, help="max output tokens override"),
+    "format": _Setting(None, str),  # each command has its own formats and default
+    "naive": _Setting(False, bool, help="single piece, no matrix"),
+    "binary": _Setting(False, bool, help="marks instead of weights"),
+    "permute": _Setting("none", str, ("none", "sequence"), help="row/column order"),
+    "fm": _Setting(None, str, help="literal per-piece token figures", metavar="N,N,..."),
+    "ust": _Setting(None, int, help="user statement tokens for --fm mode"),
 }
 _TYPE_NAMES = {str: "a string", float: "a number", int: "an integer", bool: "true or false"}
-_SIZE_MODES = ("count", "tokens")
-_PERMUTATIONS = ("none", "sequence")
 
 _ANALYSIS_ERRORS = (UnsplittablePiece, PieceExceedsWindow)
 
@@ -97,23 +87,23 @@ _ANALYSIS_ERRORS = (UnsplittablePiece, PieceExceedsWindow)
 # ---------------------------------------------------------------------------
 
 
+def _flag(parser: argparse.ArgumentParser, key: str, **overrides: Any) -> None:
+    """Add ``--<key>`` as its ``_SETTINGS`` row declares it; unset flags stay None."""
+    row = _SETTINGS[key]
+    if row.type is bool:
+        kwargs: dict[str, Any] = {"action": "store_true", "default": None, "help": row.help}
+    else:
+        kwargs = {"type": row.type, "choices": row.choices, "metavar": row.metavar, "help": row.help}
+    parser.add_argument("--" + key.replace("_", "-"), **{**kwargs, **overrides})
+
+
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument("--manifest", metavar="PATH", help="conversation manifest (JSON)")
+    _flag(parser, "manifest")
     parser.add_argument("--config", metavar="PATH", help="JSON file of defaults; flags win")
-    parser.add_argument("--model", help="model name from the catalog (default mistral-7b)")
-    parser.add_argument("--catalog", metavar="PATH", help="model catalog CSV (default bundled)")
-    parser.add_argument("--alpha", type=float, help="cluster size penalty weight")
-    parser.add_argument("--beta", type=float, help="outside-cluster interaction weight")
-    parser.add_argument("--size-mode", dest="size_mode", choices=_SIZE_MODES)
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--restarts", type=int, help="annealing restarts")
-    parser.add_argument("--margin", type=float, help="safety margin on budgets, e.g. 0.05")
-    parser.add_argument("--fm-ratio", dest="fm_ratio", type=float, help="filled/generic token ratio")
-    parser.add_argument("--instructions", type=int, help="instruction tokens charged per piece")
-    parser.add_argument("--tokens", metavar="MODE", help="'approx' or 'table:PATH'")
-    parser.add_argument("--cw", type=int, help="context window override")
-    parser.add_argument("--ol", type=int, help="max output tokens override")
-    parser.add_argument("--format", choices=formats)
+    common = "model catalog alpha beta size_mode seed restarts margin fm_ratio instructions tokens cw ol"
+    for key in common.split():
+        _flag(parser, key)
+    _flag(parser, "format", choices=formats)
     parser.set_defaults(formats=formats)
 
 
@@ -126,8 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_dsm = sub.add_parser("dsm", help="emit the dependency matrix")
     _add_common(p_dsm, ("csv", "text", "json"))
-    p_dsm.add_argument("--binary", action="store_true", default=None, help="marks instead of weights")
-    p_dsm.add_argument("--permute", choices=_PERMUTATIONS, help="row/column order")
+    _flag(p_dsm, "binary")
+    _flag(p_dsm, "permute")
     p_dsm.set_defaults(func=cmd_dsm, default_format="csv")
 
     p_seq = sub.add_parser("sequence", help="levels and element order")
@@ -140,14 +130,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="pieces plus budgets plus verdict")
     _add_common(p_plan, ("text", "json"))
-    p_plan.add_argument("--naive", action="store_true", default=None, help="single piece, no matrix")
+    _flag(p_plan, "naive")
     p_plan.set_defaults(func=cmd_plan, default_format="text")
 
     p_budget = sub.add_parser("budget", help="token budget report only")
     _add_common(p_budget, ("text", "json"))
-    p_budget.add_argument("--naive", action="store_true", default=None)
-    p_budget.add_argument("--fm", metavar="N,N,...", help="literal per-piece token figures")
-    p_budget.add_argument("--ust", type=int, help="user statement tokens for --fm mode")
+    _flag(p_budget, "naive", help=None)
+    _flag(p_budget, "fm")
+    _flag(p_budget, "ust")
     p_budget.set_defaults(func=cmd_budget, default_format="text")
 
     p_sim = sub.add_parser("simulate", help="FIFO window losses, naive vs planned")
@@ -162,21 +152,21 @@ def _load_config_file(path: str, formats: tuple[str, ...]) -> dict[str, Any]:
     raw = read_json_file(path, "config")
     if not isinstance(raw, dict):
         raise ParseError(f"config {path}: root must be an object")
-    unknown = sorted(set(raw) - set(_DEFAULTS))
+    unknown = sorted(set(raw) - set(_SETTINGS))
     if unknown:
         raise ParseError(f"config {path}: unknown keys {', '.join(unknown)}")
-    choices = {"size_mode": _SIZE_MODES, "permute": _PERMUTATIONS, "format": formats}
     for key, value in raw.items():
-        if value is None and _DEFAULTS[key] is None:
+        row = _SETTINGS[key]
+        if value is None and row.default is None:
             continue
-        want = _CONFIG_TYPES[key]
         # bool is an int subclass in Python, but true/false is no number in a config
-        accepted = (int, float) if want is float else want
-        if not isinstance(value, accepted) or isinstance(value, bool) != (want is bool):
-            raise ParseError(f"config {path}: {key} must be {_TYPE_NAMES[want]}, got {json.dumps(value)}")
-        if key in choices and value not in choices[key]:
-            raise ParseError(f"config {path}: {key} must be one of {', '.join(choices[key])}, got {value!r}")
-        if want is float:  # parsed as the flag parses it, so 0 prints as 0.0
+        accepted = (int, float) if row.type is float else row.type
+        if not isinstance(value, accepted) or isinstance(value, bool) != (row.type is bool):
+            raise ParseError(f"config {path}: {key} must be {_TYPE_NAMES[row.type]}, got {json.dumps(value)}")
+        choices = formats if key == "format" else row.choices
+        if choices and value not in choices:
+            raise ParseError(f"config {path}: {key} must be one of {', '.join(choices)}, got {value!r}")
+        if row.type is float:  # parsed as the flag parses it, so 0 prints as 0.0
             try:
                 raw[key] = float(value)
             except OverflowError:
@@ -185,15 +175,33 @@ def _load_config_file(path: str, formats: tuple[str, ...]) -> dict[str, Any]:
 
 
 def _merge(args: argparse.Namespace) -> dict[str, Any]:
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    """The settings of this run, each range-checked once, whichever command reads it.
+
+    Besides one entry per ``_SETTINGS`` key, ``"params"`` holds the search
+    settings as a :class:`ClusterParams` and ``"budget"`` the budget settings
+    as a :class:`BudgetConfig`; building them applies the library's rules.
+    """
+    settings = {key: row.default for key, row in _SETTINGS.items()}
+    if args.config:
         settings.update(_load_config_file(args.config, args.formats))
-    for key in _DEFAULTS:
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     if settings["format"] is None:
         settings["format"] = args.default_format
+    settings["budget"] = BudgetConfig(
+        margin=settings["margin"],
+        fm_ratio=settings["fm_ratio"],
+        instructions_per_piece=settings["instructions"] or 0,  # literal --fm figures come with no manifest
+    )
+    settings["params"] = ClusterParams(
+        alpha=settings["alpha"],
+        beta=settings["beta"],
+        size_mode=settings["size_mode"],
+        seed=settings["seed"],
+        restarts=settings["restarts"],
+    )
     return settings
 
 
@@ -227,33 +235,14 @@ def _model_spec(settings: dict[str, Any], *, apply_cw: bool = True) -> ModelSpec
     spec = find_model(catalog, settings["model"])
     cw = settings["cw"] if apply_cw and settings["cw"] is not None else spec.context_window
     ol = settings["ol"] if settings["ol"] is not None else spec.max_output_tokens
-    if (cw, ol) != (spec.context_window, spec.max_output_tokens):
-        try:
-            spec = replace(spec, context_window=cw, max_output_tokens=ol)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    return spec
+    return replace(spec, context_window=cw, max_output_tokens=ol)
 
 
-def _budget_config(settings: dict[str, Any], conversation: ConversationModel | None) -> BudgetConfig:
-    instructions = settings["instructions"]
-    if instructions is None:
-        instructions = conversation.instruction_tokens if conversation else 0
-    return BudgetConfig(
-        margin=settings["margin"],
-        fm_ratio=settings["fm_ratio"],
-        instructions_per_piece=instructions,
-    )
-
-
-def _cluster_params(settings: dict[str, Any]) -> ClusterParams:
-    return ClusterParams(
-        alpha=settings["alpha"],
-        beta=settings["beta"],
-        size_mode=settings["size_mode"],
-        seed=settings["seed"],
-        restarts=settings["restarts"],
-    )
+def _budget_config(settings: dict[str, Any], conversation: ConversationModel) -> BudgetConfig:
+    """The budget settings, charging the manifest's instruction block unless --instructions is set."""
+    if settings["instructions"] is not None:
+        return settings["budget"]
+    return replace(settings["budget"], instructions_per_piece=conversation.instruction_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +412,17 @@ def cmd_cluster(settings: dict[str, Any]) -> int:
     conversation = _conversation(settings)
     spec = _model_spec(settings)
     config = _budget_config(settings, conversation)
-    _, assignment, cap = capped_cluster(conversation, _cluster_params(settings), config, spec)
+    params = settings["params"]
+    _, assignment, cap = capped_cluster(conversation, params, config, spec)
     if settings["format"] == "json":
         _emit_json(
             {
                 "params": {
-                    "alpha": settings["alpha"],
-                    "beta": settings["beta"],
-                    "size_mode": settings["size_mode"],
-                    "seed": settings["seed"],
-                    "restarts": settings["restarts"],
+                    "alpha": params.alpha,
+                    "beta": params.beta,
+                    "size_mode": params.size_mode,
+                    "seed": params.seed,
+                    "restarts": params.restarts,
                     "max_cluster_tokens": cap,
                 },
                 "clusters": [list(group) for group in assignment.clusters()],
@@ -445,9 +435,9 @@ def cmd_cluster(settings: dict[str, Any]) -> int:
         return 0
     lines = [
         "PARAMS    "
-        + f"alpha={_num(settings['alpha'])} beta={_num(settings['beta'])} "
-        + f"size={settings['size_mode']} seed={settings['seed']} "
-        + f"restarts={settings['restarts']} cap={cap}",
+        + f"alpha={_num(params.alpha)} beta={_num(params.beta)} "
+        + f"size={params.size_mode} seed={params.seed} "
+        + f"restarts={params.restarts} cap={cap}",
         _row("J TOTAL", _num(assignment.j_total)),
         _row("  size term", _num(assignment.j_size_term)),
         _row("  interaction term", _num(assignment.j_interaction_term)),
@@ -465,7 +455,7 @@ def _build_plans(
     spec = _model_spec(settings, apply_cw=False)
     config = _budget_config(settings, conversation)
     naive = make_naive_plan(conversation, config, spec)
-    _, _, optimized = plan_conversation(conversation, _cluster_params(settings), config, spec)
+    _, _, optimized = plan_conversation(conversation, settings["params"], config, spec)
     return naive, optimized
 
 
@@ -485,7 +475,7 @@ def cmd_plan(settings: dict[str, Any]) -> int:
     if settings["naive"]:
         plan = make_naive_plan(conversation, config, spec)
     else:
-        _, _, plan = plan_conversation(conversation, _cluster_params(settings), config, spec)
+        _, _, plan = plan_conversation(conversation, settings["params"], config, spec)
     return _print_report(plan, settings["format"])
 
 
@@ -501,7 +491,7 @@ def cmd_budget(settings: dict[str, Any]) -> int:
     if not fm_values:
         raise ParseError("--fm needs at least one value")
     spec = _model_spec(settings)
-    plan = literal_plan(fm_values, _budget_config(settings, None), spec, ust_tokens=settings["ust"] or 0)
+    plan = literal_plan(fm_values, settings["budget"], spec, ust_tokens=settings["ust"] or 0)
     return _print_report(plan, settings["format"])
 
 
@@ -544,12 +534,9 @@ def cmd_simulate(settings: dict[str, Any]) -> int:
     lines.append(f"{'METRIC':<24}{'NAIVE':>10}{'PLANNED':>10}{'DELTA':>10}  VERDICT")
     for d in deltas:
         lines.append(f"{d.metric:<24}{d.baseline:>10}{d.candidate:>10}{d.delta:>+10}  {d.verdict}")
-    for k in naive_run.oversized_piece_indices:
-        lines.append(f"WARNING: naive piece {k + 1} exceeds the context window (PieceExceedsWindow)")
-    for k in optimized_run.oversized_piece_indices:
-        lines.append(
-            f"WARNING: planned piece {k + 1} exceeds the context window (PieceExceedsWindow)"
-        )
+    for label, run in (("naive", naive_run), ("planned", optimized_run)):
+        for k in run.oversized_piece_indices:
+            lines.append(f"WARNING: {label} piece {k + 1} exceeds the context window (PieceExceedsWindow)")
     _emit("\n".join(lines))
     return 1 if oversized else 0
 
@@ -563,10 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     except _ANALYSIS_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DsmPlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DsmPlanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -73,6 +73,8 @@ class ClusterParams:
             raise ValueError("max_cluster_tokens must be positive when set")
         if self.restarts < 1 or self.iterations_per_restart < 0:
             raise ValueError("need at least one restart and non-negative iterations")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

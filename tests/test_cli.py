@@ -1,7 +1,10 @@
 import json
+import math
+from dataclasses import asdict
 
 import pytest
 
+from dsmplan import BudgetConfig, ClusterParams
 from dsmplan.cli import main
 from dsmplan.data import SPACECRAFT_DSM_BINARY, SPACECRAFT_DSM_TOKENS, SPACECRAFT_MANIFEST
 
@@ -301,6 +304,93 @@ def test_non_finite_config_values_exit_two(tmp_path, capsys, setting):
     code, out, err = run_cli(capsys, "plan", "--manifest", MANIFEST, "--config", str(config))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, library_call",
+    [
+        (("sequence", "--manifest", MANIFEST, "--alpha", "nan"), None, lambda: ClusterParams(alpha=math.nan)),
+        (("dsm", "--manifest", MANIFEST, "--margin", "2"), None, lambda: BudgetConfig(margin=2)),
+        (("plan", "--manifest", MANIFEST, "--naive", "--beta", "-1"), None, lambda: ClusterParams(beta=-1)),
+        (("plan", "--manifest", MANIFEST, "--naive", "--seed", "-1"), None, lambda: ClusterParams(seed=-1)),
+        (("budget", "--fm", "10", "--restarts", "0"), None, lambda: ClusterParams(restarts=0)),
+        (("sequence", "--manifest", MANIFEST), {"alpha": -1}, lambda: ClusterParams(alpha=-1)),
+    ],
+    ids=["sequence-alpha-nan", "dsm-margin", "naive-beta", "naive-seed", "fm-restarts", "sequence-config-alpha"],
+)
+def test_every_setting_is_checked_whichever_command_runs(tmp_path, capsys, argv, config, library_call):
+    with pytest.raises(ValueError) as rejected:
+        library_call()
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(path))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {rejected.value}\n")
+
+
+_COMMANDS = {
+    "dsm": ("dsm", "--manifest", MANIFEST),
+    "sequence": ("sequence", "--manifest", MANIFEST),
+    "cluster": ("cluster", "--manifest", MANIFEST),
+    "plan": ("plan", "--manifest", MANIFEST),
+    "budget": ("budget", "--fm", "1000,2000"),
+    "simulate": ("simulate", "--manifest", MANIFEST),
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_config_of_every_default_changes_nothing(tmp_path, capsys, command):
+    params, budget = ClusterParams(), BudgetConfig()
+    defaults = {
+        "manifest": None,
+        "model": "mistral-7b",
+        "catalog": None,
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "size_mode": params.size_mode,
+        "seed": params.seed,
+        "restarts": params.restarts,
+        "margin": budget.margin,
+        "fm_ratio": budget.fm_ratio,
+        "instructions": None,
+        "tokens": "approx",
+        "cw": None,
+        "ol": None,
+        "format": None,
+        "naive": False,
+        "binary": False,
+        "permute": "none",
+        "fm": None,
+        "ust": None,
+    }
+    config = tmp_path / "defaults.json"
+    config.write_text(json.dumps(defaults))
+    argv = _COMMANDS[command]
+    without_config = run_cli(capsys, *argv)
+    assert without_config[0] == 0
+    assert run_cli(capsys, *argv, "--config", str(config)) == without_config
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: dsmplan {command} ")
+
+
+@pytest.mark.parametrize(
+    "command, key, library, own",
+    [
+        ("cluster", "params", ClusterParams(), "max_cluster_tokens"),  # the model's cap
+        ("plan", "config", BudgetConfig(), "instructions_per_piece"),  # the manifest's instruction block
+    ],
+)
+def test_json_settings_are_the_library_defaults(capsys, command, key, library, own):
+    _, out, _ = run_cli(capsys, command, "--manifest", MANIFEST, "--format", "json")
+    shown = json.loads(out)[key]
+    del shown[own]
+    assert shown and shown == {k: v for k, v in asdict(library).items() if k in shown}
 
 
 def test_config_accepts_json_spellings_of_the_flags(tmp_path, capsys):

@@ -451,6 +451,8 @@ def test_params_validation():
         ClusterParams(restarts=0)
     with pytest.raises(ValueError):
         ClusterParams(max_cluster_tokens=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        ClusterParams(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
