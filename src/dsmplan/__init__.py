@@ -49,7 +49,7 @@ from .planning import (
 )
 from .sequencing import SequencingResult, reachability, sequence
 from .simulator import MetricDelta, SimulationReport, SimulationStep, compare, simulate
-from .tokens import TokenCountProvider, count_for_element, count_tokens_approx, load_token_table
+from .tokens import count_tokens_approx, load_token_table
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "SimulationReport",
     "SimulationStep",
     "TokenBudgetReport",
-    "TokenCountProvider",
     "above_diagonal_marks",
     "assignment_from_groups",
     "brute_force_cluster",
@@ -81,7 +80,6 @@ __all__ = [
     "cluster",
     "clustering_cost",
     "compare",
-    "count_for_element",
     "count_tokens_approx",
     "default_model_catalog",
     "errors",

@@ -7,7 +7,8 @@ Each setting is declared once, in ``_SETTINGS``; the defaults of the search
 and budget settings are those of :class:`ClusterParams` and
 :class:`BudgetConfig`.  Every setting, whether from a flag or ``--config``,
 is checked whichever subcommand runs, by the rules of the library object
-that holds it.
+that holds it; only ``--cw``, ``--ol`` and ``--ust`` are checked by the
+commands that read them.
 Exit codes: 0 success/feasible, 1 analysis says infeasible (report still
 printed), 2 bad input.  Output for a fixed invocation is byte-identical
 across runs.
@@ -19,9 +20,11 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import Any, NamedTuple
 
 from .clustering import SIZE_MODE_COUNT, SIZE_MODE_TOKENS, ClusterParams
+from .data import MODEL_CATALOG
 from .dsm import Dsm, build_dsm, permute, to_binary, write_dsm_csv
 from .errors import DsmPlanError, ParseError, PieceExceedsWindow, UnsplittablePiece
 from .manifest import ConversationModel, parse_manifest, read_json_file
@@ -32,7 +35,6 @@ from .planning import (
     TokenBudgetReport,
     budget_report,
     capped_cluster,
-    default_model_catalog,
     find_model,
     literal_plan,
     load_model_catalog,
@@ -41,7 +43,7 @@ from .planning import (
 )
 from .sequencing import SequencingResult, sequence
 from .simulator import SimulationReport, compare, simulate
-from .tokens import TokenCountProvider, load_token_table
+from .tokens import load_token_table
 
 
 class _Setting(NamedTuple):
@@ -113,34 +115,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dependency-structure planning of LLM conversations under token budgets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching, or "--fm" would be taken for "--fm-ratio"
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
 
-    p_dsm = sub.add_parser("dsm", help="emit the dependency matrix")
+    p_dsm = add_parser("dsm", help="emit the dependency matrix")
     _add_common(p_dsm, ("csv", "text", "json"))
     _flag(p_dsm, "binary")
     _flag(p_dsm, "permute")
     p_dsm.set_defaults(func=cmd_dsm, default_format="csv")
 
-    p_seq = sub.add_parser("sequence", help="levels and element order")
+    p_seq = add_parser("sequence", help="levels and element order")
     _add_common(p_seq, ("text", "json"))
     p_seq.set_defaults(func=cmd_sequence, default_format="text")
 
-    p_cluster = sub.add_parser("cluster", help="cluster the matrix (capped by the model's limits)")
+    p_cluster = add_parser("cluster", help="cluster the matrix (capped by the model's limits)")
     _add_common(p_cluster, ("text", "json"))
     p_cluster.set_defaults(func=cmd_cluster, default_format="text")
 
-    p_plan = sub.add_parser("plan", help="pieces plus budgets plus verdict")
+    p_plan = add_parser("plan", help="pieces plus budgets plus verdict")
     _add_common(p_plan, ("text", "json"))
     _flag(p_plan, "naive")
     p_plan.set_defaults(func=cmd_plan, default_format="text")
 
-    p_budget = sub.add_parser("budget", help="token budget report only")
+    p_budget = add_parser("budget", help="token budget report only")
     _add_common(p_budget, ("text", "json"))
     _flag(p_budget, "naive", help=None)
     _flag(p_budget, "fm")
     _flag(p_budget, "ust")
     p_budget.set_defaults(func=cmd_budget, default_format="text")
 
-    p_sim = sub.add_parser("simulate", help="FIFO window losses, naive vs planned")
+    p_sim = add_parser("simulate", help="FIFO window losses, naive vs planned")
     _add_common(p_sim, ("text", "json"))
     p_sim.set_defaults(func=cmd_simulate, default_format="text")
 
@@ -180,6 +184,8 @@ def _merge(args: argparse.Namespace) -> dict[str, Any]:
     Besides one entry per ``_SETTINGS`` key, ``"params"`` holds the search
     settings as a :class:`ClusterParams` and ``"budget"`` the budget settings
     as a :class:`BudgetConfig`; building them applies the library's rules.
+    ``"table"`` holds the ``--tokens`` table (None for approx) and ``"spec"``
+    the ``--model`` entry of the catalog, before any ``--cw``/``--ol``.
     """
     settings = {key: row.default for key, row in _SETTINGS.items()}
     if args.config:
@@ -202,13 +208,19 @@ def _merge(args: argparse.Namespace) -> dict[str, Any]:
         seed=settings["seed"],
         restarts=settings["restarts"],
     )
+    settings["table"] = _provider(settings)
+    catalog = settings["catalog"] or MODEL_CATALOG
+    try:
+        settings["spec"] = find_model(load_model_catalog(catalog), settings["model"])
+    except OSError as exc:
+        raise ParseError(f"cannot read catalog {catalog}: {exc}") from None
     return settings
 
 
-def _provider(settings: dict[str, Any]) -> TokenCountProvider:
+def _provider(settings: dict[str, Any]) -> dict[str, int] | None:
     spec = settings["tokens"]
     if spec == "approx":
-        return TokenCountProvider.approximate()
+        return None
     if isinstance(spec, str) and spec.startswith("table:"):
         path = spec[len("table:") :]
         try:
@@ -221,18 +233,11 @@ def _provider(settings: dict[str, Any]) -> TokenCountProvider:
 def _conversation(settings: dict[str, Any]) -> ConversationModel:
     if not settings["manifest"]:
         raise ParseError("--manifest is required for this command")
-    return parse_manifest(settings["manifest"], _provider(settings))
+    return parse_manifest(settings["manifest"], settings["table"])
 
 
 def _model_spec(settings: dict[str, Any], *, apply_cw: bool = True) -> ModelSpec:
-    if settings["catalog"]:
-        try:
-            catalog = load_model_catalog(settings["catalog"])
-        except OSError as exc:
-            raise ParseError(f"cannot read catalog {settings['catalog']}: {exc}") from None
-    else:
-        catalog = default_model_catalog()
-    spec = find_model(catalog, settings["model"])
+    spec = settings["spec"]
     cw = settings["cw"] if apply_cw and settings["cw"] is not None else spec.context_window
     ol = settings["ol"] if settings["ol"] is not None else spec.max_output_tokens
     return replace(spec, context_window=cw, max_output_tokens=ol)

@@ -13,10 +13,3 @@ SPACECRAFT_DSM_BINARY = _DIR / "spacecraft_dsm_binary.csv"
 SPACECRAFT_EXPECTED = _DIR / "spacecraft_expected.json"
 MODEL_CATALOG = _DIR / "model_catalog.csv"
 
-
-def path(name: str) -> Path:
-    """Path of a bundled data file by file name."""
-    candidate = _DIR / name
-    if not candidate.is_file():
-        raise FileNotFoundError(f"no bundled data file named {name!r}")
-    return candidate

@@ -16,9 +16,9 @@ Schema::
       ]
     }
 
-In approximate token mode each element needs exactly one of text/tokens; in
-table mode the table supplies every count.  A literal token number wins over
-text for the user statement and instructions.
+Without a token table each element needs exactly one of text/tokens; with
+one, the table supplies every count.  A literal token number wins over text
+for the user statement and instructions.
 """
 
 from __future__ import annotations
@@ -26,10 +26,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
-from .errors import DuplicateId, ParseError, SelfDependency, UnknownDependency
-from .tokens import APPROXIMATE, TokenCountProvider, count_for_element, count_tokens_approx
+from .errors import (
+    DuplicateId,
+    MissingTableEntry,
+    MissingTokenCount,
+    ParseError,
+    SelfDependency,
+    UnknownDependency,
+)
+from .tokens import count_tokens_approx
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,7 @@ def _statement_tokens(raw: Any, what: str) -> int:
 
 class _ElementFields(NamedTuple):
     """An element's validated manifest fields, before its count is resolved;
-    it has the ``id``/``dependencies``/``text``/``token_count`` that
-    :func:`check_references` and :func:`count_for_element` read."""
+    it has the ``id``/``dependencies`` that :func:`check_references` reads."""
 
     id: str
     label: str
@@ -161,16 +167,35 @@ def _parse_element(raw: Any, position: int) -> _ElementFields:
     return _ElementFields(element_id, label, tuple(deps), text, tokens)
 
 
-def parse_manifest(
-    path: str | Path, provider: TokenCountProvider | None = None
-) -> ConversationModel:
+def _element_tokens(f: _ElementFields, table: Mapping[str, int] | None) -> int:
+    """The count of one element: its table entry when a table is given (the
+    table is ground truth), else its literal ``tokens`` or its counted ``text``."""
+    if table is not None:
+        if f.id not in table:
+            raise MissingTableEntry(f.id)
+        return table[f.id]
+    if f.text is not None and f.token_count is not None:
+        raise ParseError(f"element {f.id!r} has both text and a literal token count")
+    if f.token_count is not None:
+        return f.token_count
+    if f.text is not None:
+        return count_tokens_approx(f.text)
+    raise MissingTokenCount(f.id)
+
+
+def parse_manifest(path: str | Path, table: Mapping[str, int] | None = None) -> ConversationModel:
     """Parse ``path`` into a ConversationModel with resolved token counts.
+
+    With a token ``table`` (``{id: tokens}``, e.g. from
+    :func:`~dsmplan.tokens.load_token_table`) every element's count is its
+    table entry, whatever the manifest says, and an id the table lacks raises
+    MissingTableEntry.  Without one, each element needs a literal ``tokens``
+    or a ``text`` to count, and giving both is a ParseError.
 
     Errors come in this order: any malformed element field, then the
     :func:`check_references` errors, then per element in order a text-and-
-    tokens clash, a count the provider cannot resolve, or a negative count.
+    tokens clash, a count that cannot be resolved, or a negative count.
     """
-    provider = provider or TokenCountProvider.approximate()
     doc = read_json_file(path, "manifest")
     if not isinstance(doc, dict):
         raise ParseError("manifest root must be an object")
@@ -180,13 +205,9 @@ def parse_manifest(
 
     fields = [_parse_element(raw, k) for k, raw in enumerate(raw_elements)]
     check_references(fields)  # type: ignore[arg-type]
-    approximate = provider.mode == APPROXIMATE
-    elements = []
-    for f in fields:
-        if approximate and f.text is not None and f.token_count is not None:
-            raise ParseError(f"element {f.id!r} has both text and a literal token count")
-        count = count_for_element(f, provider)  # type: ignore[arg-type]
-        elements.append(ConversationElement(f.id, f.label, f.dependencies, f.text, count))
+    elements = [
+        ConversationElement(f.id, f.label, f.dependencies, f.text, _element_tokens(f, table)) for f in fields
+    ]
     return ConversationModel(
         elements=tuple(elements),
         user_statement_tokens=_statement_tokens(doc.get("user_statement"), "user_statement"),

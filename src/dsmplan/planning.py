@@ -34,13 +34,11 @@ from functools import lru_cache
 from pathlib import Path
 
 from .clustering import ClusterAssignment, ClusterParams, cluster
+from .data import MODEL_CATALOG
 from .dsm import Dsm, build_dsm
 from .errors import DuplicateModelName, ParseError, UnknownModel, UnsplittablePiece
 from .manifest import ConversationElement, ConversationModel
 from .sequencing import SequencingResult, sequence
-
-_DATA_DIR = Path(__file__).resolve().parent / "data"
-DEFAULT_CATALOG_PATH = _DATA_DIR / "model_catalog.csv"
 
 
 @dataclass(frozen=True)
@@ -318,38 +316,37 @@ def plan_conversation(
 
 
 def load_model_catalog(path: str | Path) -> tuple[ModelSpec, ...]:
-    """Load ``name,context_window,max_output_tokens`` rows."""
+    """Load ``name,context_window,max_output_tokens`` rows; the first non-blank
+    row must be that header."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        numbered = enumerate(csv.reader(handle), start=1)
+        rows = [(n, row) for n, row in numbered if row and (len(row) > 1 or row[0].strip())]
+    expected = ["name", "context_window", "max_output_tokens"]
+    lineno, header = rows[0] if rows else (1, [])
+    if [cell.strip().lower() for cell in header] != expected:
+        raise ParseError(f"expected header {','.join(expected)!r}", line=lineno)
     specs: list[ModelSpec] = []
     names: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1:
-                expected = ["name", "context_window", "max_output_tokens"]
-                if [cell.strip().lower() for cell in row] != expected:
-                    raise ParseError(f"expected header {','.join(expected)!r}", line=1)
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 cells, got {len(row)}", line=lineno)
-            name = row[0].strip()
-            if name in names:
-                raise DuplicateModelName(name)
-            names.add(name)
-            try:
-                cw, ol = int(row[1]), int(row[2])
-            except ValueError:
-                raise ParseError(f"non-integer limits in row {name!r}", line=lineno) from None
-            try:
-                specs.append(ModelSpec(name=name, context_window=cw, max_output_tokens=ol))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    for lineno, row in rows[1:]:
+        if len(row) != 3:
+            raise ParseError(f"expected 3 cells, got {len(row)}", line=lineno)
+        name = row[0].strip()
+        if name in names:
+            raise DuplicateModelName(name)
+        names.add(name)
+        try:
+            cw, ol = int(row[1]), int(row[2])
+        except ValueError:
+            raise ParseError(f"non-integer limits in row {name!r}", line=lineno) from None
+        try:
+            specs.append(ModelSpec(name=name, context_window=cw, max_output_tokens=ol))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     return tuple(specs)
 
 
 def default_model_catalog() -> tuple[ModelSpec, ...]:
-    return load_model_catalog(DEFAULT_CATALOG_PATH)
+    return load_model_catalog(MODEL_CATALOG)
 
 
 def find_model(catalog: tuple[ModelSpec, ...], name: str) -> ModelSpec:

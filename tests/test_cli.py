@@ -6,7 +6,12 @@ import pytest
 
 from dsmplan import BudgetConfig, ClusterParams
 from dsmplan.cli import main
-from dsmplan.data import SPACECRAFT_DSM_BINARY, SPACECRAFT_DSM_TOKENS, SPACECRAFT_MANIFEST
+from dsmplan.data import (
+    SPACECRAFT_DSM_BINARY,
+    SPACECRAFT_DSM_TOKENS,
+    SPACECRAFT_MANIFEST,
+    SPACECRAFT_TOKEN_TABLE,
+)
 
 MANIFEST = str(SPACECRAFT_MANIFEST)
 
@@ -455,6 +460,38 @@ def test_bad_tokens_mode_exits_two(capsys):
     code, _, err = run_cli(capsys, "dsm", "--manifest", MANIFEST, "--tokens", "guess")
     assert code == 2
     assert "approx" in err
+
+
+def test_bundled_token_table_plans_as_the_manifest_counts(capsys):
+    by_manifest = run_cli(capsys, "plan", "--manifest", MANIFEST, "--format", "json")
+    by_table = run_cli(
+        capsys, "plan", "--manifest", MANIFEST, "--format", "json", "--tokens", f"table:{SPACECRAFT_TOKEN_TABLE}"
+    )
+    assert by_table == by_manifest
+
+
+@pytest.mark.parametrize("prefix", ["--fm", "--res"])
+def test_flag_prefixes_are_not_abbreviations(capsys, prefix):
+    # "--fm" is budget's literal-figures flag, not short for plan's "--fm-ratio"
+    with pytest.raises(SystemExit) as exited:
+        main(["plan", "--manifest", MANIFEST, prefix, "2"])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {prefix} 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sequence", "--manifest", MANIFEST, "--model", "bogus"), "bogus"),
+        (("dsm", "--manifest", MANIFEST, "--catalog", "/nonexistent.csv"), "cannot read catalog /nonexistent.csv"),
+        (("budget", "--fm", "10", "--tokens", "guess"), "--tokens must be 'approx' or 'table:PATH'"),
+    ],
+    ids=["sequence-model", "dsm-catalog", "fm-tokens"],
+)
+def test_model_and_tokens_are_checked_whichever_command_runs(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_plan_output_is_deterministic(capsys):

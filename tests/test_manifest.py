@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from dsmplan.errors import (
     DsmPlanError,
     DuplicateId,
+    MissingTableEntry,
     MissingTokenCount,
     ParseError,
     SelfDependency,
     UnknownDependency,
 )
 from dsmplan import manifest
-from dsmplan.data import SPACECRAFT_MANIFEST
+from dsmplan.data import SPACECRAFT_MANIFEST, SPACECRAFT_TOKEN_TABLE
 from dsmplan.manifest import (
     ConversationElement,
     ConversationModel,
@@ -22,13 +23,13 @@ from dsmplan.manifest import (
     parse_manifest,
     read_json_file,
 )
-from dsmplan.tokens import APPROXIMATE, TokenCountProvider, count_for_element
+from dsmplan.tokens import count_tokens_approx, load_token_table
 
 
-def parse_twice(path, provider=None) -> ConversationModel:
+def parse_twice(path, table=None) -> ConversationModel:
     """The two-pass parse the library used before it built each element once:
-    every element is built from its fields, then built again with its count."""
-    provider = provider or TokenCountProvider.approximate()
+    every element is built from its fields, then built again with its count,
+    which it resolves by its own copy of the count rule."""
     doc = read_json_file(path, "manifest")
     if not isinstance(doc, dict):
         raise ParseError("manifest root must be an object")
@@ -59,9 +60,18 @@ def parse_twice(path, provider=None) -> ConversationModel:
     check_references(elements)
     resolved = []
     for element in elements:
-        if provider.mode == APPROXIMATE and element.text is not None and element.token_count is not None:
+        if table is not None:
+            if element.id not in table:
+                raise MissingTableEntry(element.id)
+            count = table[element.id]
+        elif element.text is not None and element.token_count is not None:
             raise ParseError(f"element {element.id!r} has both text and a literal token count")
-        count = count_for_element(element, provider)
+        elif element.token_count is not None:
+            count = element.token_count
+        elif element.text is not None:
+            count = count_tokens_approx(element.text)
+        else:
+            raise MissingTokenCount(element.id)
         resolved.append(ConversationElement(element.id, element.label, element.dependencies, element.text, count))
     return ConversationModel(
         elements=tuple(resolved),
@@ -166,8 +176,24 @@ def test_text_and_tokens_together_rejected(tmp_path):
 
 def test_table_provider_fills_counts(tmp_path):
     path = _write(tmp_path, {"elements": [{"id": "x", "label": "X"}, {"id": "y", "label": "Y"}]})
-    model = parse_manifest(path, TokenCountProvider.from_table({"x": 11, "y": 22}))
+    model = parse_manifest(path, {"x": 11, "y": 22})
     assert model.token_counts() == {"x": 11, "y": 22}
+
+
+def test_table_count_wins_over_literal_and_text(tmp_path):
+    path = _write(tmp_path, {"elements": [{"id": "a", "tokens": 99}, {"id": "b", "text": "one two three"}]})
+    assert parse_manifest(path, {"a": 7, "b": 8}).token_counts() == {"a": 7, "b": 8}
+
+
+def test_table_without_the_id_raises_missing_table_entry(tmp_path):
+    path = _write(tmp_path, {"elements": [{"id": "a", "tokens": 1}, {"id": "b", "tokens": 2}]})
+    with pytest.raises(MissingTableEntry, match="'b'"):
+        parse_manifest(path, {"a": 7})
+
+
+def test_bundled_token_table_gives_the_manifest_counts(spacecraft):
+    model = parse_manifest(SPACECRAFT_MANIFEST, load_token_table(SPACECRAFT_TOKEN_TABLE))
+    assert model.token_counts() == spacecraft.token_counts()
 
 
 def test_malformed_json_reports_line(tmp_path):
@@ -241,20 +267,20 @@ _DOCUMENTS = st.one_of(_manifests().map(lambda doc: json.dumps(doc).encode()), s
 
 
 @settings(max_examples=300, deadline=None)
-@given(_DOCUMENTS, st.sampled_from([None, TokenCountProvider.from_table({"a": 3, "b": 0})]))
-def test_parse_manifest_is_total(tmp_path_factory, document, provider):
+@given(_DOCUMENTS, st.sampled_from([None, {"a": 3, "b": 0}]))
+def test_parse_manifest_is_total(tmp_path_factory, document, table):
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_bytes(document)
     try:
-        model = parse_manifest(path, provider)
+        model = parse_manifest(path, table)
     except DsmPlanError:
         return
     assert isinstance(model, ConversationModel)
 
 
-def _outcome(parse, path, provider):
+def _outcome(parse, path, table):
     try:
-        return parse(path, provider)
+        return parse(path, table)
     except (DsmPlanError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -264,16 +290,17 @@ def _outcome(parse, path, provider):
     _DOCUMENTS,
     st.sampled_from(
         [
-            TokenCountProvider.approximate(),
-            TokenCountProvider.from_table({"a": 3, "b": 0}),  # the other ids are missing
-            TokenCountProvider.from_table({"a": 3, "b": -1, "c": 4, "d": -2}),  # built in code: unchecked
+            None,
+            {},
+            {"a": 3, "b": 0},  # the other ids are missing
+            {"a": 3, "b": -1, "c": 4, "d": -2},  # built in code: unchecked
         ]
     ),
 )
-def test_parse_manifest_matches_two_pass_parse(tmp_path_factory, document, provider):
+def test_parse_manifest_matches_two_pass_parse(tmp_path_factory, document, table):
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_bytes(document)
-    assert _outcome(parse_manifest, path, provider) == _outcome(parse_twice, path, provider)
+    assert _outcome(parse_manifest, path, table) == _outcome(parse_twice, path, table)
 
 
 def test_parse_manifest_builds_each_element_once(monkeypatch):
@@ -290,10 +317,10 @@ def test_parse_manifest_builds_each_element_once(monkeypatch):
 
 
 def test_negative_table_count_fails_after_the_reference_check(tmp_path):
-    provider = TokenCountProvider.from_table({"x": -1})
+    table = {"x": -1}
     path = _write(tmp_path, {"elements": [{"id": "x"}]})
     with pytest.raises(ValueError, match="negative token count"):
-        parse_manifest(path, provider)
+        parse_manifest(path, table)
     path = _write(tmp_path, {"elements": [{"id": "x", "deps": ["nope"]}]})
     with pytest.raises(UnknownDependency):
-        parse_manifest(path, provider)
+        parse_manifest(path, table)

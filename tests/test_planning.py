@@ -435,6 +435,20 @@ def test_catalog_rejects_bad_header(tmp_path):
         load_model_catalog(path)
 
 
+def test_catalog_reads_a_header_after_blank_lines(tmp_path):
+    path = tmp_path / "models.csv"
+    path.write_text("\nname,context_window,max_output_tokens\nm,100,50\n")
+    assert load_model_catalog(path) == (ModelSpec("m", 100, 50),)
+
+
+@pytest.mark.parametrize("text", ["\nmistral-7b,100,50\n", "", "\n"])
+def test_catalog_needs_a_header_first(tmp_path, text):
+    path = tmp_path / "models.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="expected header 'name,context_window,max_output_tokens'"):
+        load_model_catalog(path)
+
+
 def test_catalog_rejects_inconsistent_limits(tmp_path):
     path = tmp_path / "models.csv"
     path.write_text("name,context_window,max_output_tokens\nm,100,500\n")

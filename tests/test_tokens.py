@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dsmplan.errors import MissingTableEntry, MissingTokenCount, ParseError
-from dsmplan.manifest import ConversationElement
-from dsmplan.tokens import (
-    TokenCountProvider,
-    count_for_element,
-    count_tokens_approx,
-    load_token_table,
-)
+from dsmplan.errors import ParseError
+from dsmplan.tokens import count_tokens_approx, load_token_table
 
 
 def count_by_char(text: str) -> int:
@@ -81,43 +75,28 @@ def test_approx_nonnegative_and_bounded(text):
     assert 0 <= n <= len(text)
 
 
-def test_element_literal_count_wins_over_text():
-    e = ConversationElement(id="a", label="A", text="one two three", token_count=99)
-    assert count_for_element(e, TokenCountProvider.approximate()) == 99
-
-
-def test_element_text_counted_when_no_literal():
-    e = ConversationElement(id="a", label="A", text="one two three")
-    assert count_for_element(e, TokenCountProvider.approximate()) == 3
-
-
-def test_element_without_text_or_count_raises():
-    e = ConversationElement(id="a", label="A")
-    with pytest.raises(MissingTokenCount):
-        count_for_element(e, TokenCountProvider.approximate())
-
-
-def test_table_provider_overrides_everything():
-    provider = TokenCountProvider.from_table({"a": 7})
-    e = ConversationElement(id="a", label="A", text="one two three", token_count=99)
-    assert count_for_element(e, provider) == 7
-
-
-def test_table_provider_missing_entry():
-    provider = TokenCountProvider.from_table({"a": 7})
-    with pytest.raises(MissingTableEntry):
-        count_for_element(ConversationElement(id="b", label="B"), provider)
-
-
 def test_load_token_table(tmp_path):
     path = tmp_path / "tokens.csv"
     path.write_text("id,tokens\na,3\nb,41\n")
-    provider = load_token_table(path)
-    assert provider.table == {"a": 3, "b": 41}
+    assert load_token_table(path) == {"a": 3, "b": 41}
 
 
 def test_load_token_table_rejects_bad_rows(tmp_path):
     path = tmp_path / "tokens.csv"
     path.write_text("id,tokens\na,notanumber\n")
     with pytest.raises(ParseError, match="line 2"):
+        load_token_table(path)
+
+
+def test_load_token_table_reads_a_header_after_blank_lines(tmp_path):
+    path = tmp_path / "tokens.csv"
+    path.write_text("\nid,tokens\nx,5\n")
+    assert load_token_table(path) == {"x": 5}
+
+
+@pytest.mark.parametrize("text", ["\nx,5\n", "", "\n\n"])
+def test_load_token_table_needs_a_header_first(tmp_path, text):
+    path = tmp_path / "tokens.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="expected header 'id,tokens'"):
         load_token_table(path)
