@@ -214,6 +214,13 @@ def _merge(args: argparse.Namespace) -> dict[str, Any]:
         settings["spec"] = find_model(load_model_catalog(catalog), settings["model"])
     except OSError as exc:
         raise ParseError(f"cannot read catalog {catalog}: {exc}") from None
+    # each limit alone, as a model with that window and output: positive, but
+    # --cw may sit below the model's OL, which simulate accepts
+    for limit in (settings["cw"], settings["ol"]):
+        if limit is not None:
+            ModelSpec(settings["spec"].name, limit, limit)
+    if settings["ust"] is not None:
+        ConversationModel((), user_statement_tokens=settings["ust"])
     return settings
 
 

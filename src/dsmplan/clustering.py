@@ -24,7 +24,9 @@ moves its picked element ``e`` out of its ``source`` cluster; its targets are
 the active labels in ascending order without ``source``, followed by the
 lowest free label when ``source`` has other members, and it takes target
 ``int(u * len(targets))``.  Faster bookkeeping must keep this rule and draw
-order, so a seed gives the same plans across versions.
+order, so a seed gives the same plans across versions.  Those draws are the
+one use of numpy here: a chain imports it for its generator, and everything
+else — scoring, bookkeeping, the brute force — works on lists of ints.
 
 Cost.  A proposal costs O(deg(e) + log n): the target is found by bisection
 in sorted lists of active and free labels, and the interaction delta is a scan
@@ -38,9 +40,7 @@ import math
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dsm import Dsm
 from .errors import EmptyMatrix, IncompleteAssignment, TooLarge
@@ -96,7 +96,7 @@ class ClusterAssignment:
 
 def _token_vector(
     dsm: Dsm, token_counts: Mapping[str, int] | None, params: ClusterParams
-) -> np.ndarray | None:
+) -> list[int] | None:
     needs_tokens = params.size_mode == SIZE_MODE_TOKENS or params.max_cluster_tokens is not None
     if token_counts is None:
         if needs_tokens:
@@ -105,10 +105,10 @@ def _token_vector(
     missing = [e for e in dsm.element_ids if e not in token_counts]
     if missing:
         raise IncompleteAssignment(tuple(missing))
-    return np.array([token_counts[e] for e in dsm.element_ids], dtype=np.int64)
+    return [token_counts[e] for e in dsm.element_ids]
 
 
-def _mean_tokens(params: ClusterParams, tok: np.ndarray | None) -> float:
+def _mean_tokens(params: ClusterParams, tok: Sequence[int] | None) -> float:
     """The token-sum size unit, or 0.0 when clusters are sized by element count.
 
     An all-zero token corpus is sized by count too: with every element the
@@ -116,23 +116,23 @@ def _mean_tokens(params: ClusterParams, tok: np.ndarray | None) -> float:
     """
     if params.size_mode == SIZE_MODE_COUNT or tok is None or not len(tok):
         return 0.0
-    return float(np.mean(tok))
+    return sum(tok) / len(tok)  # np.mean's value while the sum is below 2**53: one exact sum, one rounding
 
 
-def _size_sq(labels: np.ndarray, params: ClusterParams, tok: np.ndarray | None) -> float:
+def _size_sq(labels: Sequence[int], params: ClusterParams, tok: Sequence[int] | None) -> float:
     mean = _mean_tokens(params, tok)
     if mean == 0.0:
-        return float(sum(c * c for c in Counter(labels.tolist()).values()))
+        return float(sum(c * c for c in Counter(labels).values()))
     sums: dict[int, int] = {}
-    for label, tokens in zip(labels.tolist(), tok.tolist()):  # type: ignore[union-attr]
+    for label, tokens in zip(labels, tok):  # type: ignore[arg-type]
         sums[label] = sums.get(label, 0) + tokens
     return float(sum((c / mean) ** 2 for c in sums.values()))
 
 
-def _interaction(dsm: Dsm, labels: np.ndarray) -> int:
+def _interaction(dsm: Dsm, labels: Sequence[int]) -> int:
     """Total weight of the marks whose two ends sit in different clusters."""
     rows, cols, vals = dsm.marks
-    return int(vals[labels[rows] != labels[cols]].sum())
+    return sum(val for row, col, val in zip(rows, cols, vals) if labels[row] != labels[col])
 
 
 def clustering_cost(
@@ -150,26 +150,26 @@ def clustering_cost(
     missing = tuple(e for e in dsm.element_ids if e not in assignment)
     if missing:
         raise IncompleteAssignment(missing)
-    labels = np.array([assignment[e] for e in dsm.element_ids], dtype=np.int64)
+    labels = [assignment[e] for e in dsm.element_ids]
     tok = _token_vector(dsm, token_counts, params) if params.size_mode == SIZE_MODE_TOKENS else None
     size_sq = _size_sq(labels, params, tok)
     interaction = _interaction(dsm, labels)
     return params.alpha * size_sq + params.beta * interaction
 
 
-def _canonical(labels: np.ndarray) -> tuple[list[int], int]:
+def _canonical(labels: Sequence[int]) -> tuple[list[int], int]:
     """Relabel clusters by first appearance; returns (labels, cluster count)."""
     mapping: dict[int, int] = {}
-    canon = [mapping.setdefault(label, len(mapping)) for label in labels.tolist()]
+    canon = [mapping.setdefault(label, len(mapping)) for label in labels]
     return canon, len(mapping)
 
 
-def _cap_ok(labels: np.ndarray, tok: np.ndarray | None, cap: int | None) -> bool:
+def _cap_ok(labels: Sequence[int], tok: Sequence[int] | None, cap: int | None) -> bool:
     if cap is None:
         return True
     sums: dict[int, int] = {}
-    for pos, label in enumerate(labels.tolist()):
-        sums[label] = sums.get(label, 0) + int(tok[pos])  # type: ignore[index]
+    for pos, label in enumerate(labels):
+        sums[label] = sums.get(label, 0) + tok[pos]  # type: ignore[index]
         if sums[label] > cap:
             return False
     return True
@@ -180,7 +180,7 @@ def _neighbours(dsm: Dsm) -> list[list[tuple[int, int]]]:
     in ascending ``j``."""
     rows, cols, vals = dsm.marks
     sums: list[dict[int, int]] = [{} for _ in range(dsm.n)]
-    for i, j, w in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+    for i, j, w in zip(rows, cols, vals):
         sums[i][j] = sums[i].get(j, 0) + w
         sums[j][i] = sums[j].get(i, 0) + w
     return [sorted(row.items()) for row in sums]
@@ -190,22 +190,23 @@ def _anneal_chain(
     nbrs: list[list[tuple[int, int]]],
     total: int,
     params: ClusterParams,
-    tok: np.ndarray | None,
+    tok: list[int] | None,
     chain_index: int,
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[int], float]:
     """One annealing restart; returns the best label vector seen and its tracked J."""
+    import numpy as np
+
     n = len(nbrs)
     rng = np.random.default_rng(np.random.SeedSequence([params.seed, chain_index]))
     cap = params.max_cluster_tokens
     iters = params.iterations_per_restart
 
     if cap is None:
-        start = rng.integers(0, n, size=n)
+        labels: list[int] = rng.integers(0, n, size=n).tolist()
     else:
-        start = np.arange(n)  # singletons are always cap-feasible here
-    size_sq = _size_sq(start, params, tok)
-    labels: list[int] = start.tolist()
-    tokens: list[int] = tok.tolist() if tok is not None else [0] * n
+        labels = list(range(n))  # singletons are always cap-feasible here
+    size_sq = _size_sq(labels, params, tok)
+    tokens = tok if tok is not None else [0] * n
     count = [0] * n
     toksum = [0] * n
     for pos, label in enumerate(labels):
@@ -226,7 +227,7 @@ def _anneal_chain(
     best_labels = labels.copy()
 
     if iters == 0 or n < 2:
-        return np.array(best_labels, dtype=np.int64), best_j
+        return best_labels, best_j
 
     temperature = max(1.0, 0.05 * current_j)
     cool = _COOL_RATIO ** (1.0 / iters)
@@ -294,17 +295,16 @@ def _anneal_chain(
             best_j = current_j
             best_labels = labels.copy()
 
-    return np.array(best_labels, dtype=np.int64), best_j
+    return best_labels, best_j
 
 
 def _finalize(
-    dsm: Dsm, labels: np.ndarray, params: ClusterParams, tok: np.ndarray | None
+    dsm: Dsm, labels: Sequence[int], params: ClusterParams, tok: list[int] | None
 ) -> ClusterAssignment:
     canon, num_clusters = _canonical(labels)
     cluster_of = dict(zip(dsm.element_ids, canon))
-    canon_labels = np.array(canon, dtype=np.int64)
-    size_sq = _size_sq(canon_labels, params, tok)
-    interaction = _interaction(dsm, canon_labels)
+    size_sq = _size_sq(canon, params, tok)
+    interaction = _interaction(dsm, canon)
     return ClusterAssignment(
         cluster_of=cluster_of,
         num_clusters=num_clusters,
@@ -315,7 +315,7 @@ def _finalize(
 
 
 def _check_tracked(
-    tracked_j: float, j_total: float, params: ClusterParams, tok: np.ndarray | None
+    tracked_j: float, j_total: float, params: ClusterParams, tok: list[int] | None
 ) -> None:
     """Raise if a chain's incremental J drifted from direct summation."""
     if _mean_tokens(params, tok) == 0.0:
@@ -345,21 +345,21 @@ def cluster(
         raise EmptyMatrix()
     tok = _token_vector(dsm, token_counts, params)
     cap = params.max_cluster_tokens
-    if cap is not None and tok is not None and int(tok.max(initial=0)) > cap:
-        worst = dsm.element_ids[int(tok.argmax())]
+    if cap is not None and tok is not None and max(tok) > cap:
+        worst = dsm.element_ids[tok.index(max(tok))]
         raise ValueError(f"element {worst!r} alone exceeds max_cluster_tokens={cap}")
     if n == 1:
-        return _finalize(dsm, np.zeros(1, dtype=np.int64), params, tok)
+        return _finalize(dsm, [0], params, tok)
 
     nbrs = _neighbours(dsm)
-    total = int(dsm.marks[2].sum())
+    total = sum(dsm.marks[2])
     scored: list[ClusterAssignment] = []
     for chain in range(params.restarts):
         labels, tracked_j = _anneal_chain(nbrs, total, params, tok, chain)
         scored.append(_finalize(dsm, labels, params, tok))
         _check_tracked(tracked_j, scored[-1].j_total, params, tok)
-    scored.append(_finalize(dsm, np.arange(n, dtype=np.int64), params, tok))  # all singletons
-    one_cluster = np.zeros(n, dtype=np.int64)
+    scored.append(_finalize(dsm, range(n), params, tok))  # all singletons
+    one_cluster = [0] * n
     if _cap_ok(one_cluster, tok, cap):
         scored.append(_finalize(dsm, one_cluster, params, tok))
     return min(scored, key=lambda a: a.j_total)  # first minimum: ties go to the earlier candidate
@@ -390,8 +390,7 @@ def assignment_from_groups(
     if missing:
         raise IncompleteAssignment(missing)
     tok = _token_vector(dsm, token_counts, params)
-    labels = np.array([flat[e] for e in dsm.element_ids], dtype=np.int64)
-    return _finalize(dsm, labels, params, tok)
+    return _finalize(dsm, [flat[e] for e in dsm.element_ids], params, tok)
 
 
 def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -430,10 +429,9 @@ def brute_force_cluster(
     tok = _token_vector(dsm, token_counts, params)
     cap = params.max_cluster_tokens
 
-    best_labels: np.ndarray | None = None
+    best_labels: tuple[int, ...] | None = None
     best_j = math.inf
-    for vector in _growth_strings(n):
-        labels = np.array(vector, dtype=np.int64)
+    for labels in _growth_strings(n):
         if not _cap_ok(labels, tok, cap):
             continue
         j = params.alpha * _size_sq(labels, params, tok) + params.beta * _interaction(dsm, labels)

@@ -7,25 +7,26 @@ count of provider j — the worst-case cost of re-sending j's text.  The binary
 form keeps only the marks.
 
 A Dsm stores only its marks: ``marks = (rows, cols, vals)``, the nonzero
-cells in row-major order as read-only int64 arrays.  :func:`build_dsm`,
+cells in row-major order as three tuples of ints.  :func:`build_dsm`,
 :func:`permute`, :func:`to_binary` and the CSV reader build the marks
 directly, and every constructor, the dense ``Dsm(ids, weights, kind)`` one
 included, validates them in one place.  So building, validating, comparing,
 hashing, sequencing and the clustering scores all cost O(n + marks), and
 planning a conversation never allocates an n×n array.  ``weights``, the dense
-(n, n) matrix, is built from the marks on first read and cached, read-only;
-only output that prints the whole matrix reads it — CSV and the CLI's ``dsm``
-output — and so only that output touches n² cells.
+(n, n) int64 matrix, is built from the marks on first read and cached,
+read-only; only output that prints the whole matrix reads it — CSV and the
+CLI's ``dsm`` output — and so only that output touches n² cells.  numpy is
+imported by the dense constructor and the dense view alone; a weight that
+does not fit the view's int64 cells is rejected when the marks are stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import lt
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DuplicateId,
@@ -35,13 +36,18 @@ from .errors import (
     NonSquare,
     NonzeroDiagonal,
     ParseError,
+    WeightOverflow,
 )
 from .manifest import ConversationElement, check_references
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BINARY = "binary"
 NUMERICAL = "numerical"
 
 _ID_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
+_INT64_MAX = 2**63 - 1  # the largest weight a cell of the dense int64 view holds
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -49,15 +55,19 @@ class Dsm:
     element_ids: tuple[str, ...]
     kind: str
     # (rows, cols, vals) of the nonzero cells, row-major; see the module docstring
-    marks: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    marks: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(repr=False)
     positions: dict[str, int] = field(repr=False)  # id -> row/column
 
     def __init__(self, element_ids: Iterable[str], weights: np.ndarray, kind: str = NUMERICAL) -> None:
         """A Dsm from a dense (n, n) matrix; it keeps the nonzero cells, not the matrix."""
+        import numpy as np
+
         w = np.asarray(weights, dtype=np.int64)
-        square = w.ndim == 2 and w.shape[0] == w.shape[1]
-        rows, cols = np.nonzero(w) if square else ((), ())
-        self._store(element_ids, w.shape, rows, cols, w[rows, cols] if square else (), kind)
+        rows = cols = vals = []
+        if w.ndim == 2 and w.shape[0] == w.shape[1]:
+            nonzero = np.nonzero(w)
+            rows, cols, vals = nonzero[0].tolist(), nonzero[1].tolist(), w[nonzero].tolist()
+        self._store(element_ids, w.shape, rows, cols, vals, kind)
 
     @classmethod
     def _from_marks(cls, element_ids: Sequence[str], rows, cols, vals, kind: str) -> "Dsm":
@@ -67,7 +77,13 @@ class Dsm:
         return dsm
 
     def _store(self, element_ids: Iterable[str], shape: tuple[int, ...], rows, cols, vals, kind: str) -> None:
-        """The one validation path of every constructor; it sorts the marks row-major."""
+        """The one validation path of every constructor; it sorts the cells row-major.
+
+        The cells come as parallel sequences and are sorted by position
+        (``row * n + col``), so no cell becomes an object of its own; the sort
+        runs in about linear time on cells that come row by row, as every
+        constructor but :func:`permute` gives them.
+        """
         ids = tuple(element_ids)
         positions: dict[str, int] = {}
         for element_id in ids:
@@ -78,31 +94,34 @@ class Dsm:
             raise NonSquare(f"weights shape {shape} is not square")
         if shape[0] != len(ids):
             raise NonSquare(f"{len(ids)} element ids but {shape[0]} matrix rows")
-        rows, cols, vals = (np.asarray(a, dtype=np.int64) for a in (rows, cols, vals))
-        keep = np.flatnonzero(vals)
-        keep = keep[np.lexsort((cols[keep], rows[keep]))]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        negative = np.flatnonzero(vals < 0)
-        if negative.size:
-            k = negative[0]
-            raise NegativeWeight(f"negative weight {vals[k]} at row {ids[rows[k]]}, column {ids[cols[k]]}")
-        diagonal = np.flatnonzero(rows == cols)
-        if diagonal.size:
-            raise NonzeroDiagonal(f"nonzero diagonal at {ids[rows[diagonal[0]]]}")
-        if kind not in (BINARY, NUMERICAL):
-            raise ValueError(f"unknown matrix kind {kind!r}")
-        if kind == BINARY and (vals > 1).any():
-            raise ValueError("binary matrix may only contain 0/1")
-        for array in (rows, cols, vals):
-            array.setflags(write=False)
+        n = len(ids)
+        position = [row * n + col for row, col in zip(rows, cols)]
+        kept_rows: list[int] = []
+        kept_cols: list[int] = []
+        kept_vals: list[int] = []
+        top = 1 if kind == BINARY else _INT64_MAX
+        clean = kind in (BINARY, NUMERICAL)
+        for k in sorted(range(len(position)), key=position.__getitem__):  # row-major
+            val = vals[k]
+            if val:
+                row, col = rows[k], cols[k]
+                kept_rows.append(row)
+                kept_cols.append(col)
+                kept_vals.append(val)
+                if val < 0 or val > top or row == col:
+                    clean = False
+        if not clean:
+            _raise_first_fault(ids, kept_rows, kept_cols, kept_vals, kind)
         object.__setattr__(self, "element_ids", ids)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "marks", (rows, cols, vals))
+        object.__setattr__(self, "marks", (tuple(kept_rows), tuple(kept_cols), tuple(kept_vals)))
         object.__setattr__(self, "positions", positions)
 
     @cached_property
     def weights(self) -> np.ndarray:
         """The dense (n, n) int64 matrix, read-only; built from the marks on first read."""
+        import numpy as np
+
         rows, cols, vals = self.marks
         w = np.zeros((self.n, self.n), dtype=np.int64)
         w[rows, cols] = vals
@@ -119,14 +138,30 @@ class Dsm:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dsm):
             return NotImplemented
-        return (
-            self.element_ids == other.element_ids
-            and self.kind == other.kind
-            and all(np.array_equal(a, b) for a, b in zip(self.marks, other.marks))
-        )
+        return self.element_ids == other.element_ids and self.kind == other.kind and self.marks == other.marks
 
     def __hash__(self) -> int:  # frozen dataclass with eq=False would otherwise use identity
-        return hash((self.element_ids, self.kind, *(a.tobytes() for a in self.marks)))
+        return hash((self.element_ids, self.kind, self.marks))
+
+
+def _raise_first_fault(ids: tuple[str, ...], rows: list[int], cols: list[int], vals: list[int], kind: str) -> None:
+    """Raise for what is wrong with these row-major marks, checked in this order:
+    a negative weight, a diagonal mark, the kind, a binary weight above 1, and
+    a weight the dense int64 view cannot hold."""
+    marks = list(zip(rows, cols, vals))
+    for row, col, val in marks:
+        if val < 0:
+            raise NegativeWeight(f"negative weight {val} at row {ids[row]}, column {ids[col]}")
+    for row, col, _ in marks:
+        if row == col:
+            raise NonzeroDiagonal(f"nonzero diagonal at {ids[row]}")
+    if kind not in (BINARY, NUMERICAL):
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    if kind == BINARY:
+        raise ValueError("binary matrix may only contain 0/1")
+    for row, col, val in marks:
+        if val > _INT64_MAX:
+            raise WeightOverflow(f"weight {val} at row {ids[row]}, column {ids[col]} exceeds {_INT64_MAX}")
 
 
 @dataclass(frozen=True)
@@ -160,24 +195,18 @@ def build_dsm(elements: Iterable[ConversationElement]) -> Dsm:
     """
     elements = list(elements)
     index = check_references(elements)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[int] = []
-    for i, element in enumerate(elements):
-        for dep in element.dependencies:
-            j = index[dep]
-            if elements[j].token_count is None:
-                raise MissingTokenCount(dep)
-            rows.append(i)
-            cols.append(j)
-            vals.append(elements[j].token_count)
+    rows = [i for i, element in enumerate(elements) for _ in element.dependencies]
+    cols = [index[dep] for element in elements for dep in element.dependencies]
+    vals = [elements[j].token_count for j in cols]
+    if None in vals:
+        raise MissingTokenCount(elements[cols[vals.index(None)]].id)
     return Dsm._from_marks(tuple(index), rows, cols, vals, NUMERICAL)
 
 
 def to_binary(dsm: Dsm) -> Dsm:
     """Collapse weights to 0/1 marks; idempotent."""
-    rows, cols, vals = dsm.marks
-    return Dsm._from_marks(dsm.element_ids, rows, cols, np.ones_like(vals), BINARY)
+    rows, cols, _ = dsm.marks
+    return Dsm._from_marks(dsm.element_ids, rows, cols, [1] * len(rows), BINARY)
 
 
 def permute(dsm: Dsm, permutation: Permutation) -> Dsm:
@@ -185,15 +214,15 @@ def permute(dsm: Dsm, permutation: Permutation) -> Dsm:
     if len(permutation) != dsm.n:
         raise LengthMismatch(dsm.n, len(permutation))
     ids = tuple(dsm.element_ids[i] for i in permutation.order)
-    slot = np.array(permutation.inverse().order, dtype=np.int64)  # source index -> target slot
+    slot = permutation.inverse().order  # source index -> target slot
     rows, cols, vals = dsm.marks
-    return Dsm._from_marks(ids, slot[rows], slot[cols], vals, dsm.kind)
+    return Dsm._from_marks(ids, [slot[r] for r in rows], [slot[c] for c in cols], vals, dsm.kind)
 
 
 def above_diagonal_marks(dsm: Dsm) -> int:
     """Number of nonzero cells strictly above the diagonal (feedback marks)."""
     rows, cols, _ = dsm.marks
-    return int(np.count_nonzero(rows < cols))
+    return sum(map(lt, rows, cols))
 
 
 # ---------------------------------------------------------------------------

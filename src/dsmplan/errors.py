@@ -55,6 +55,10 @@ class NonzeroDiagonal(DsmPlanError):
     pass
 
 
+class WeightOverflow(DsmPlanError):
+    """A mark weight too large for the dense matrix's int64 cells."""
+
+
 class MissingTokenCount(DsmPlanError):
     def __init__(self, element_id: str):
         self.element_id = element_id

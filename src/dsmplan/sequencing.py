@@ -6,16 +6,19 @@ groups that cannot be serialized) and levels the resulting DAG by longest path
 from the sources.  Flattening the levels gives an order in which every
 provider precedes its consumers except inside cycles.  It reads the edges from
 the DSM's marks, so it runs in O(n + marks).  :func:`reachability` sets its
-boolean matrix from the marks too; its closure is n×n by nature.
+boolean matrix from the marks too; its closure is n×n by nature, and it is
+the one function here that imports numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dsm import Dsm, Permutation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def reachability(dsm: Dsm) -> np.ndarray:
@@ -24,6 +27,8 @@ def reachability(dsm: Dsm) -> np.ndarray:
     Equivalently, row i marks everything element i transitively depends on.
     Idempotent: closing the closure changes nothing.
     """
+    import numpy as np
+
     n = dsm.n
     reach = np.eye(n, dtype=bool)
     reach[dsm.marks[0], dsm.marks[1]] = True
@@ -104,7 +109,7 @@ def sequence(dsm: Dsm) -> SequencingResult:
     n = dsm.n
     rows, cols, _ = dsm.marks
     succ: list[list[int]] = [[] for _ in range(n)]  # provider -> consumers
-    for i, j in zip(rows.tolist(), cols.tolist()):
+    for i, j in zip(rows, cols):
         succ[j].append(i)
 
     # Tarjan emits a component only after every component it reaches, so the

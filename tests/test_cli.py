@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from dsmplan import BudgetConfig, ClusterParams
+from dsmplan import BudgetConfig, ClusterParams, ConversationModel, ModelSpec
 from dsmplan.cli import main
 from dsmplan.data import (
     SPACECRAFT_DSM_BINARY,
@@ -320,8 +324,29 @@ def test_non_finite_config_values_exit_two(tmp_path, capsys, setting):
         (("plan", "--manifest", MANIFEST, "--naive", "--seed", "-1"), None, lambda: ClusterParams(seed=-1)),
         (("budget", "--fm", "10", "--restarts", "0"), None, lambda: ClusterParams(restarts=0)),
         (("sequence", "--manifest", MANIFEST), {"alpha": -1}, lambda: ClusterParams(alpha=-1)),
+        (("sequence", "--manifest", MANIFEST, "--cw", "0"), None, lambda: ModelSpec("mistral-7b", 0, 8192)),
+        (("sequence", "--manifest", MANIFEST, "--ol", "-3"), None, lambda: ModelSpec("mistral-7b", 32000, -3)),
+        (("dsm", "--manifest", MANIFEST, "--cw", "-1"), None, lambda: ModelSpec("mistral-7b", -1, 8192)),
+        (("simulate", "--manifest", MANIFEST), {"cw": 0}, lambda: ModelSpec("mistral-7b", 0, 8192)),
+        (
+            ("budget", "--manifest", MANIFEST, "--ust", "-5"),
+            None,
+            lambda: ConversationModel((), user_statement_tokens=-5),
+        ),
     ],
-    ids=["sequence-alpha-nan", "dsm-margin", "naive-beta", "naive-seed", "fm-restarts", "sequence-config-alpha"],
+    ids=[
+        "sequence-alpha-nan",
+        "dsm-margin",
+        "naive-beta",
+        "naive-seed",
+        "fm-restarts",
+        "sequence-config-alpha",
+        "sequence-cw",
+        "sequence-ol",
+        "dsm-cw",
+        "simulate-config-cw",
+        "manifest-budget-ust",
+    ],
 )
 def test_every_setting_is_checked_whichever_command_runs(tmp_path, capsys, argv, config, library_call):
     with pytest.raises(ValueError) as rejected:
@@ -498,3 +523,118 @@ def test_plan_output_is_deterministic(capsys):
     first = run_cli(capsys, "plan", "--manifest", MANIFEST, "--format", "json")
     second = run_cli(capsys, "plan", "--manifest", MANIFEST, "--format", "json")
     assert first == second
+
+def test_cw_below_the_model_output_limit_is_still_a_window_to_simulate(capsys):
+    # --cw is checked for every command, but only as a positive count: 1000
+    # sits below mistral-7b's OL of 8192, and simulate runs the plans in it
+    code, out, err = run_cli(capsys, "simulate", "--manifest", MANIFEST, "--cw", "1000")
+    assert (code, err) == (1, "") and "CW=1000" in out
+
+
+@pytest.mark.parametrize("command", ["sequence", "dsm", "cluster"])
+def test_token_counts_beyond_int64_exit_two(tmp_path, capsys, command):
+    doc = json.loads(Path(MANIFEST).read_text(encoding="utf-8"))
+    for element in doc["elements"]:
+        element.pop("text", None)
+        element.setdefault("tokens", 10)
+    doc["elements"][0]["tokens"] = 10**23  # element A, a provider
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    limits = ["--cw", str(10**30), "--ol", str(10**30)]  # so cluster's cap lets A through
+    code, out, err = run_cli(capsys, command, "--manifest", str(path), *limits)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: weight 100000000000000000000000 at row ")
+    assert err.endswith(" exceeds 9223372036854775807\n")
+
+
+# the annealed plan of the bundled corpus with the default settings, byte for
+# byte as it printed while numpy was imported with the package
+ANNEALED_PLAN = """\
+MODEL                       mistral-7b
+  Context window - CW            32000
+  Max output     - OL             8192
+PARAMETERS                            
+  User statement - USt             200
+  Instructions   - IntLLM           50  per piece
+  Margin         - MG             0.05
+  FM ratio                           1
+PIECE 1  [A, B]  (+ user statement)
+  Generic text   - GM              462
+  Filled text    - FM              462
+  Output budget  - OB              486
+  OL - OB                        +7706
+PIECE 2  [C, G, F]
+  Generic text   - GM             4143
+  Filled text    - FM             4143
+  Output budget  - OB             4351
+  OL - OB                        +3841
+PIECE 3  [H]
+  Generic text   - GM             1510
+  Filled text    - FM             1510
+  Output budget  - OB             1586
+  OL - OB                        +6606
+PIECE 4  [D, E, I, J, L, K]
+  Generic text   - GM             3582
+  Filled text    - FM             3582
+  Output budget  - OB             3762
+  OL - OB                        +4430
+PIECE 5  [M]
+  Generic text   - GM               16
+  Filled text    - FM               16
+  Output budget  - OB               17
+  OL - OB                        +8175
+WHOLE CONVERSATION                    
+  Window budget  - WB            20870
+  CW - WB                       +11130
+FEASIBLE                           yes
+"""
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return "numpy" in sys.modules
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+import dsmplan
+seen = {"import dsmplan": loaded()}
+from dsmplan import cli
+seen["import dsmplan.cli"] = loaded()
+manifest = sys.argv[1]
+for argv in (
+    ["plan", "--manifest", manifest, "--naive"],
+    ["sequence", "--manifest", manifest],
+    ["budget", "--fm", "272,1438,7703,16"],
+):
+    run(argv)
+    seen[" ".join(argv[:2])] = loaded()
+code, plan = run(["plan", "--manifest", manifest])
+print(json.dumps({"seen": seen, "plan": plan, "code": code, "after_plan": loaded()}))
+"""
+
+
+def test_commands_without_search_never_import_numpy():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, MANIFEST], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["seen"] == {
+        "import dsmplan": False,
+        "import dsmplan.cli": False,
+        "plan --manifest": False,
+        "sequence --manifest": False,
+        "budget --fm": False,
+    }
+    # the annealer draws from numpy's generator: the first search imports it,
+    # and the plan it finds is unchanged
+    assert result["after_plan"] and result["code"] == 0
+    assert result["plan"] == ANNEALED_PLAN

@@ -16,6 +16,7 @@ from dsmplan.clustering import (
     _cap_ok,
     _finalize,
     _growth_strings,
+    _mean_tokens,
     _size_sq,
     _token_vector,
 )
@@ -466,3 +467,11 @@ def test_params_reject_non_finite_weights(field, value):
 def test_canonical_relabels_by_first_appearance(labels):
     first_seen = list(dict.fromkeys(labels))
     assert _canonical(np.array(labels)) == ([first_seen.index(x) for x in labels], len(first_seen))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(2**53 - 1) // 64), min_size=1, max_size=64))
+def test_mean_tokens_is_numpys_mean(tok):
+    # the token sum stays below 2**53, so numpy's float64 running sum is exact
+    assert sum(tok) < 2**53
+    want = float(np.mean(np.array(tok, dtype=np.int64)))
+    assert _mean_tokens(ClusterParams(size_mode="tokens"), tok) == want

@@ -27,6 +27,7 @@ from dsmplan.errors import (
     NonzeroDiagonal,
     ParseError,
     UnknownDependency,
+    WeightOverflow,
 )
 from dsmplan.manifest import ConversationElement
 from dsmplan.data import SPACECRAFT_DSM_BINARY, SPACECRAFT_DSM_TOKENS
@@ -99,6 +100,37 @@ def test_dsm_validation():
         Dsm(("a", "b"), np.array([[1, 0], [0, 0]]))
     with pytest.raises(ValueError):
         Dsm(("a", "b"), np.array([[0, 2], [0, 0]]), kind=BINARY)
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("tokens", [INT64_MAX + 1, 10**23])
+def test_build_dsm_rejects_a_weight_beyond_int64(tokens):
+    elements = [
+        ConversationElement(id="a", label="a", token_count=tokens),
+        ConversationElement(id="b", label="b", dependencies=("a",), token_count=1),
+    ]
+    with pytest.raises(WeightOverflow, match=f"weight {tokens} at row b, column a exceeds {INT64_MAX}"):
+        build_dsm(elements)
+    build_dsm(elements[:1])  # a count no one depends on leaves no mark
+
+
+@pytest.mark.parametrize("value", [INT64_MAX + 1, 10**23])
+def test_csv_rejects_a_weight_beyond_int64(value):
+    with pytest.raises(WeightOverflow, match=f"weight {value} at row a, column b"):
+        dsm_from_csv_text(f",a,b\na,,{value}\nb,,\n")
+
+
+def test_the_largest_int64_weight_is_kept_exactly():
+    elements = [
+        ConversationElement(id="a", label="a", token_count=INT64_MAX),
+        ConversationElement(id="b", label="b", dependencies=("a",), token_count=1),
+    ]
+    d = build_dsm(elements)
+    assert d.marks == ((1,), (0,), (INT64_MAX,))
+    assert int(d.weights[1, 0]) == INT64_MAX
+    assert dsm_from_csv_text(write_dsm_csv(d)) == d
 
 
 def test_build_dsm_checks_the_graph_before_token_counts():

@@ -165,15 +165,21 @@ def dense_from_csv_text(text: str) -> tuple[tuple[str, ...], np.ndarray, str]:
     return ids, w, BINARY if nonzero.size and (nonzero == 1).all() else NUMERICAL
 
 
+def assert_immutable_ints(marks) -> None:
+    """The marks are three tuples of plain ints: no array, nothing to write to."""
+    assert type(marks) is tuple and len(marks) == 3
+    for a in marks:
+        assert type(a) is tuple and all(type(v) is int for v in a)
+
+
 def assert_is_dense(d: Dsm, ids: tuple[str, ...], weights: np.ndarray, kind: str) -> None:
     """``d`` is the Dsm the dense code built from (ids, weights, kind)."""
     assert "weights" not in vars(d), "the matrix was built before anyone asked for it"
-    want = dense_marks(weights)
+    want = tuple(tuple(a.tolist()) for a in dense_marks(weights))
     assert d.element_ids == ids and d.kind == kind
-    for got, expected in zip(d.marks, want):
-        assert got.dtype == np.int64 and np.array_equal(got, expected)
-    assert not any(a.flags.writeable for a in d.marks)
-    assert hash(d) == hash((ids, kind, *(a.astype(np.int64).tobytes() for a in want)))
+    assert d.marks == want
+    assert_immutable_ints(d.marks)
+    assert hash(d) == hash((ids, kind, want))
     assert d == Dsm(ids, weights, kind=kind)
     assert np.array_equal(d.weights, weights) and d.weights.dtype == np.int64
     assert not d.weights.flags.writeable
@@ -306,7 +312,7 @@ def test_mark_stages_match_dense_oracles(case, size_mode):
     rows, cols, vals = d.marks
     assert np.array_equal(np.stack([rows, cols], axis=1), np.argwhere(d.weights))
     assert np.array_equal(vals, d.weights[d.weights != 0])
-    assert not any(a.flags.writeable for a in d.marks)
+    assert_immutable_ints(d.marks)
     assert above_diagonal_marks(d) == dense_above_diagonal(d.weights)
     assert _neighbours(d) == dense_neighbours(d.weights)
     assert sequence(d) == dense_sequence(d)
