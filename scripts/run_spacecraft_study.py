@@ -63,7 +63,7 @@ def main() -> None:
         conversation, seq, assignment_from_groups(matrix, reference_groups), config, spec
     )
 
-    print(f"elements: {matrix.n}, total dependency tokens: {int(matrix.weights.sum())}")
+    print(f"elements: {matrix.n}, total dependency tokens: {sum(matrix.marks[2])}")
     print(f"feedback marks before/after sequencing: "
           f"{above_diagonal_marks(matrix)} -> {above_diagonal_marks(permute(matrix, seq.order))}")
     print("levels:")

@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import replace
 from functools import partial
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, TextIO
 
 from .clustering import SIZE_MODE_COUNT, SIZE_MODE_TOKENS, ClusterParams
 from .data import MODEL_CATALOG
@@ -372,32 +372,34 @@ def cmd_dsm(settings: dict[str, Any]) -> int:
         matrix = permute(matrix, sequence(matrix).order)
     if settings["binary"]:
         matrix = to_binary(matrix)
-    fmt = settings["format"]
-    if fmt == "csv":
-        sys.stdout.write(write_dsm_csv(matrix))
-    elif fmt == "json":
-        _emit_json(
-            {
-                "element_ids": list(matrix.element_ids),
-                "kind": matrix.kind,
-                "weights": matrix.weights.tolist(),
-            }
-        )
-    else:
-        _emit(_dsm_text(matrix))
+    _write_dsm(matrix, settings["format"], sys.stdout)
     return 0
 
 
-def _dsm_text(matrix: Dsm) -> str:
-    width = max((len(e) for e in matrix.element_ids), default=1) + 1
-    header = " " * width + "".join(f"{e:>{width}}" for e in matrix.element_ids)
-    lines = [header]
-    for i, element_id in enumerate(matrix.element_ids):
-        marks = "".join(
-            f"{'X' if matrix.weights[i, j] else '.':>{width}}" for j in range(matrix.n)
-        )
-        lines.append(f"{element_id:<{width}}" + marks)
-    return "\n".join(lines) + "\n"
+def _write_dsm(matrix: Dsm, fmt: str, out: TextIO) -> None:
+    """Write the matrix as ``dsm`` prints it; text and JSON go out a row at a time."""
+    if fmt == "csv":
+        out.write(write_dsm_csv(matrix))
+    elif fmt == "json":  # json.dumps(..., indent=2) of the same object
+        out.write('{\n  "element_ids": ' + _json_list([json.dumps(e) for e in matrix.element_ids], 4))
+        out.write(',\n  "kind": ' + json.dumps(matrix.kind) + ',\n  "weights": [')
+        for i, cells in enumerate(matrix._dense_rows("0", str)):
+            out.write((",\n    " if i else "\n    ") + _json_list(cells, 6))
+        out.write("\n  ]\n}\n" if matrix.n else "]\n}\n")
+    else:
+        width = max((len(e) for e in matrix.element_ids), default=1) + 1
+        out.write(" " * width + "".join(f"{e:>{width}}" for e in matrix.element_ids) + "\n")
+        mark, blank = f"{'X':>{width}}", f"{'.':>{width}}"
+        for element_id, cells in zip(matrix.element_ids, matrix._dense_rows(blank, lambda _: mark)):
+            out.write(f"{element_id:<{width}}" + "".join(cells) + "\n")
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """``json.dumps(..., indent=2)`` of a list nested ``indent`` spaces deep, from its items already encoded."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * (indent - 2) + "]"
 
 
 def cmd_sequence(settings: dict[str, Any]) -> int:

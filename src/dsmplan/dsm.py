@@ -11,22 +11,25 @@ cells in row-major order as three tuples of ints.  :func:`build_dsm`,
 :func:`permute`, :func:`to_binary` and the CSV reader build the marks
 directly, and every constructor, the dense ``Dsm(ids, weights, kind)`` one
 included, validates them in one place.  So building, validating, comparing,
-hashing, sequencing and the clustering scores all cost O(n + marks), and
-planning a conversation never allocates an n×n array.  ``weights``, the dense
-(n, n) int64 matrix, is built from the marks on first read and cached,
-read-only; only output that prints the whole matrix reads it — CSV and the
-CLI's ``dsm`` output — and so only that output touches n² cells.  numpy is
-imported by the dense constructor and the dense view alone; a weight that
-does not fit the view's int64 cells is rejected when the marks are stored.
+hashing, sequencing, reachability and the clustering scores all cost
+O(n + marks), and planning a conversation never allocates an n×n array.
+Output that prints the whole matrix — CSV and the CLI's ``dsm`` output —
+builds one dense row at a time from the marks, so it touches n² cells but
+never holds more than one row of them.  ``weights``, the dense (n, n) int64
+matrix, is an optional view: built from the marks on first read and cached,
+read-only, and read by nothing in the library.  numpy is imported by the
+dense constructor and the dense view alone; a weight that does not fit the
+view's int64 cells is rejected when the marks are stored.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import lt
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateId,
@@ -116,6 +119,20 @@ class Dsm:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "marks", (tuple(kept_rows), tuple(kept_cols), tuple(kept_vals)))
         object.__setattr__(self, "positions", positions)
+
+    def _dense_rows(self, zero: str, mark: Callable[[int], str]) -> Iterator[list[str]]:
+        """The dense matrix one row at a time, built from the row-major marks:
+        each row is a list of n cells, ``zero`` where the matrix holds 0 and
+        ``mark(weight)`` at each mark."""
+        rows, cols, vals = self.marks
+        start = 0
+        for i in range(self.n):
+            end = bisect_right(rows, i, start)
+            row = [zero] * self.n
+            for col, val in zip(cols[start:end], vals[start:end]):
+                row[col] = mark(val)
+            start = end
+            yield row
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -236,8 +253,7 @@ def write_dsm_csv(dsm: Dsm) -> str:
         if not element_id or not set(element_id) <= _ID_CHARS:
             raise ParseError(f"element id {element_id!r} needs quoting, not supported in CSV form")
     lines = [",".join(["", *dsm.element_ids])]
-    for i, element_id in enumerate(dsm.element_ids):
-        cells = ["" if v == 0 else str(int(v)) for v in dsm.weights[i]]
+    for element_id, cells in zip(dsm.element_ids, dsm._dense_rows("", str)):
         lines.append(element_id + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -4,38 +4,44 @@ Dependencies point column-to-row: an edge j -> i exists when cell [i][j] is
 nonzero.  Sequencing condenses strongly connected components (coupled element
 groups that cannot be serialized) and levels the resulting DAG by longest path
 from the sources.  Flattening the levels gives an order in which every
-provider precedes its consumers except inside cycles.  It reads the edges from
-the DSM's marks, so it runs in O(n + marks).  :func:`reachability` sets its
-boolean matrix from the marks too; its closure is n×n by nature, and it is
-the one function here that imports numpy.
+provider precedes its consumers except inside cycles.  Both
+:func:`sequence` and :func:`reachability` read the edges from the DSM's
+marks and walk its strongly connected components in Tarjan's order:
+sequencing runs in O(n + marks), and reachability, which keeps each
+element's closure as a Python-int bitset, in O(n + marks) big-int ORs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .dsm import Dsm, Permutation
 
-if TYPE_CHECKING:
-    import numpy as np
 
+def reachability(dsm: Dsm) -> tuple[int, ...]:
+    """Transitive closure as bitsets: bit j of entry i is set iff j == i or a
+    path j -> ... -> i exists.
 
-def reachability(dsm: Dsm) -> np.ndarray:
-    """Boolean closure: R[i][j] is True iff j == i or a path j -> ... -> i exists.
-
-    Equivalently, row i marks everything element i transitively depends on.
-    Idempotent: closing the closure changes nothing.
+    Equivalently, entry i marks everything element i transitively depends on.
+    Components come providers first, and each ORs its members' own bits and
+    the closures of its members' providers, so the whole closure costs
+    O(n + marks) big-int ORs.  Idempotent: closing the closure changes nothing.
     """
-    import numpy as np
-
-    n = dsm.n
-    reach = np.eye(n, dtype=bool)
-    reach[dsm.marks[0], dsm.marks[1]] = True
-    for k in range(n):
-        rows = reach[:, k]
-        reach[rows] |= reach[k]
-    return reach
+    providers: list[list[int]] = [[] for _ in range(dsm.n)]
+    for i, j in zip(dsm.marks[0], dsm.marks[1]):
+        providers[i].append(j)
+    closure = [0] * dsm.n
+    # over provider edges, Tarjan emits each component after every component
+    # it reaches, which puts providers first
+    for members in _tarjan_sccs(providers):
+        reach = 0
+        for v in members:
+            reach |= 1 << v
+            for j in providers[v]:
+                reach |= closure[j]  # 0 inside this component: its bits are the members'
+        for v in members:
+            closure[v] = reach
+    return tuple(closure)
 
 
 def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:

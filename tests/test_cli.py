@@ -613,6 +613,12 @@ for argv in (
 ):
     run(argv)
     seen[" ".join(argv[:2])] = loaded()
+for flags in (["--format", "csv"], ["--format", "text"], ["--format", "json"],
+              ["--binary", "--permute", "sequence", "--format", "text"]):
+    run(["dsm", "--manifest", manifest, *flags])
+    seen[" ".join(["dsm", *flags])] = loaded()
+dsmplan.reachability(dsmplan.build_dsm(dsmplan.parse_manifest(manifest).elements))
+seen["reachability"] = loaded()
 code, plan = run(["plan", "--manifest", manifest])
 print(json.dumps({"seen": seen, "plan": plan, "code": code, "after_plan": loaded()}))
 """
@@ -633,6 +639,11 @@ def test_commands_without_search_never_import_numpy():
         "plan --manifest": False,
         "sequence --manifest": False,
         "budget --fm": False,
+        "dsm --format csv": False,
+        "dsm --format text": False,
+        "dsm --format json": False,
+        "dsm --binary --permute sequence --format text": False,
+        "reachability": False,
     }
     # the annealer draws from numpy's generator: the first search imports it,
     # and the plan it finds is unchanged

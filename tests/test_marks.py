@@ -5,9 +5,13 @@ dependencies reads ``Dsm.marks``.  The oracles below are the dense versions
 those stages used before: matrix-filling ``build_dsm``, ``permute``,
 ``to_binary`` and CSV reading, a mask-gather outside-weight sum,
 ``np.nonzero`` sequencing, a ``triu`` feedback count, ``weights + weights.T``
-neighbour lists and whole-matrix validation.
+neighbour lists, whole-matrix validation, the Floyd–Warshall-style boolean
+closure, and the CSV, text and JSON renderers that printed ``weights`` cell
+by cell.
 """
 
+import io
+import json
 import random
 import tracemalloc
 
@@ -27,7 +31,9 @@ from dsmplan.clustering import (
     cluster,
     clustering_cost,
 )
+from dsmplan.cli import _write_dsm
 from dsmplan.dsm import (
+    _ID_CHARS,
     BINARY,
     NUMERICAL,
     Dsm,
@@ -50,6 +56,7 @@ from dsmplan.errors import (
 from dsmplan.manifest import ConversationElement, ConversationModel, check_references
 from dsmplan.planning import BudgetConfig, make_pieces, plan_conversation
 from dsmplan.sequencing import SequencingResult, _tarjan_sccs, reachability, sequence
+from test_sequencing import bitsets
 
 # ---------------------------------------------------------------------------
 # dense oracles
@@ -193,6 +200,39 @@ def dense_reachability(weights: np.ndarray) -> np.ndarray:
     return reach
 
 
+def dense_csv(d: Dsm) -> str:
+    """``write_dsm_csv``'s rows as it read them from ``weights``."""
+    lines = [",".join(["", *d.element_ids])]
+    for i, element_id in enumerate(d.element_ids):
+        cells = ["" if v == 0 else str(int(v)) for v in d.weights[i]]
+        lines.append(element_id + "," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def dense_text(d: Dsm) -> str:
+    """``dsmplan dsm --format text`` as it read ``weights`` one cell at a time."""
+    width = max((len(e) for e in d.element_ids), default=1) + 1
+    header = " " * width + "".join(f"{e:>{width}}" for e in d.element_ids)
+    lines = [header]
+    for i, element_id in enumerate(d.element_ids):
+        marks = "".join(f"{'X' if d.weights[i, j] else '.':>{width}}" for j in range(d.n))
+        lines.append(f"{element_id:<{width}}" + marks)
+    return "\n".join(lines) + "\n"
+
+
+def dense_json(d: Dsm) -> str:
+    """``dsmplan dsm --format json`` as it dumped the whole ``weights`` list."""
+    payload = {"element_ids": list(d.element_ids), "kind": d.kind, "weights": d.weights.tolist()}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def cli_dsm(d: Dsm, fmt: str) -> str:
+    """What ``dsmplan dsm --format fmt`` prints for this matrix."""
+    out = io.StringIO()
+    _write_dsm(d, fmt, out)
+    return out.getvalue()
+
+
 def dense_validation_error(ids: tuple[str, ...], weights: np.ndarray, kind: str) -> type | None:
     """The error type the whole-matrix checks raised, in their order, or None."""
     w = np.array(weights, dtype=np.int64)
@@ -316,7 +356,7 @@ def test_mark_stages_match_dense_oracles(case, size_mode):
     assert above_diagonal_marks(d) == dense_above_diagonal(d.weights)
     assert _neighbours(d) == dense_neighbours(d.weights)
     assert sequence(d) == dense_sequence(d)
-    assert np.array_equal(reachability(d), dense_reachability(d.weights))
+    assert reachability(d) == bitsets(dense_reachability(d.weights))
 
     params = ClusterParams(size_mode=size_mode)
     tokens = dict(zip(d.element_ids, rng.integers(1, 400, size=d.n).tolist()))
@@ -340,6 +380,37 @@ def test_mark_stages_match_dense_oracles(case, size_mode):
         assignment_from_groups(d, [*groups.values(), ["not-an-id"]], params, tokens)
     with pytest.raises(ValueError, match="exactly once"):
         assignment_from_groups(d, [*groups.values(), [d.element_ids[0]]], params, tokens)
+
+
+@st.composite
+def printable_dsm(draw, max_n=40):
+    """A permuted Dsm with weights up to the int64 limit and ids of mixed widths:
+    CSV-safe ids, or any text, non-ASCII and JSON escapes included."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    kind = draw(st.sampled_from([BINARY, NUMERICAL]))
+    csv_safe = draw(st.booleans())
+    alphabet = st.sampled_from(sorted(_ID_CHARS)) if csv_safe else st.characters(blacklist_categories=("Cs",))
+    ids = draw(st.lists(st.text(alphabet, min_size=1, max_size=9), min_size=n, max_size=n, unique=True))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = rng.choice([0.0, 0.1, 0.5, 1.0])
+    w = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < density:
+                w[i][j] = 1 if kind == BINARY else rng.randrange(1, 2 ** rng.choice([1, 8, 32, 63]))
+    order = list(range(n))
+    rng.shuffle(order)
+    return permute(Dsm(ids, np.array(w, dtype=np.int64).reshape(n, n), kind=kind), Permutation(order)), csv_safe
+
+
+@given(printable_dsm())
+@settings(max_examples=200, deadline=None)
+def test_printed_matrix_matches_the_dense_renderers(case):
+    d, csv_safe = case
+    assert cli_dsm(d, "text") == dense_text(d)
+    assert cli_dsm(d, "json") == dense_json(d)
+    if csv_safe:
+        assert write_dsm_csv(d) == cli_dsm(d, "csv") == dense_csv(d)
 
 
 _CORRUPTIONS = ["negative", "diagonal", "above_one", "drop_column", "extra_id"]
@@ -418,7 +489,10 @@ def test_stages_read_only_the_marks(spacecraft, spacecraft_dsm, size_mode, cap):
     reverse = Permutation(tuple(reversed(range(d.n))))
     assert permute(guarded, reverse) == permute(d, reverse)
     assert to_binary(guarded) == to_binary(d)
-    assert np.array_equal(reachability(guarded), reachability(d))
+    assert reachability(guarded) == reachability(d)
+    assert write_dsm_csv(guarded) == dense_csv(d)
+    assert cli_dsm(guarded, "text") == dense_text(d)
+    assert cli_dsm(guarded, "json") == dense_json(d)
     assert cluster(guarded, params, counts) == cluster(d, params, counts)
     fixed = assignment_from_groups(guarded, REFERENCE_GROUPS, params, counts)
     assert fixed == assignment_from_groups(d, REFERENCE_GROUPS, params, counts)
