@@ -6,7 +6,7 @@ output cap, then contrasts three plans: the naive single-piece
 conversation, the four-piece reference plan cut along the grouping the
 corpus ships with, and the plan from the cost-minimizing search.  Budget
 tables first, then FIFO window simulations across a sweep of
-context-window sizes.
+context-window sizes, and each plan's smallest window that loses nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dsmplan import (
     build_dsm,
     default_model_catalog,
     find_model,
+    loss_curve,
     make_naive_plan,
     make_pieces,
     parse_manifest,
@@ -93,6 +94,9 @@ def main() -> None:
     print(f"output overflow tokens: naive {runs[0].output_overflow_tokens}, "
           f"reference {runs[1].output_overflow_tokens}, "
           f"searched {runs[2].output_overflow_tokens}")
+    lossless = [loss_curve(p).lossless_window for p in (naive, reference, plan)]
+    print(f"smallest lossless window: naive {lossless[0]}, "
+          f"reference {lossless[1]}, searched {lossless[2]}")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from .planning import (
     window_budget,
 )
 from .sequencing import SequencingResult, reachability, sequence
-from .simulator import MetricDelta, SimulationReport, SimulationStep, compare, simulate
+from .simulator import LossCurve, MetricDelta, SimulationReport, SimulationStep, compare, loss_curve, simulate
 from .tokens import count_tokens_approx, load_token_table
 
 __version__ = "0.1.0"
@@ -64,6 +64,7 @@ __all__ = [
     "ConversationPiece",
     "ConversationPlan",
     "Dsm",
+    "LossCurve",
     "MetricDelta",
     "ModelSpec",
     "Permutation",
@@ -87,6 +88,7 @@ __all__ = [
     "literal_plan",
     "load_model_catalog",
     "load_token_table",
+    "loss_curve",
     "make_naive_plan",
     "make_pieces",
     "max_piece_tokens",

@@ -25,7 +25,7 @@ from typing import Any, NamedTuple, TextIO
 
 from .clustering import SIZE_MODE_COUNT, SIZE_MODE_TOKENS, ClusterParams
 from .data import MODEL_CATALOG
-from .dsm import Dsm, build_dsm, permute, to_binary, write_dsm_csv
+from .dsm import Dsm, _csv_lines, build_dsm, permute, to_binary
 from .errors import DsmPlanError, ParseError, PieceExceedsWindow, UnsplittablePiece
 from .manifest import ConversationModel, parse_manifest, read_json_file
 from .planning import (
@@ -377,9 +377,9 @@ def cmd_dsm(settings: dict[str, Any]) -> int:
 
 
 def _write_dsm(matrix: Dsm, fmt: str, out: TextIO) -> None:
-    """Write the matrix as ``dsm`` prints it; text and JSON go out a row at a time."""
+    """Write the matrix as ``dsm`` prints it, a row at a time."""
     if fmt == "csv":
-        out.write(write_dsm_csv(matrix))
+        out.writelines(_csv_lines(matrix))
     elif fmt == "json":  # json.dumps(..., indent=2) of the same object
         out.write('{\n  "element_ids": ' + _json_list([json.dumps(e) for e in matrix.element_ids], 4))
         out.write(',\n  "kind": ' + json.dumps(matrix.kind) + ',\n  "weights": [')

@@ -14,12 +14,14 @@ included, validates them in one place.  So building, validating, comparing,
 hashing, sequencing, reachability and the clustering scores all cost
 O(n + marks), and planning a conversation never allocates an n×n array.
 Output that prints the whole matrix — CSV and the CLI's ``dsm`` output —
-builds one dense row at a time from the marks, so it touches n² cells but
-never holds more than one row of them.  ``weights``, the dense (n, n) int64
-matrix, is an optional view: built from the marks on first read and cached,
-read-only, and read by nothing in the library.  numpy is imported by the
-dense constructor and the dense view alone; a weight that does not fit the
-view's int64 cells is rejected when the marks are stored.
+builds one dense row at a time from the marks, so it touches n² cells; the
+CLI writes each row as it is built and never holds more than one of them,
+and :func:`write_dsm_csv` joins the same CSV lines into one string.
+``weights``, the dense (n, n) int64 matrix, is an optional view: built from
+the marks on first read and cached, read-only, and read by nothing in the
+library.  numpy is imported by the dense constructor and the dense view
+alone; a weight that does not fit the view's int64 cells is rejected when
+the marks are stored.
 """
 
 from __future__ import annotations
@@ -248,14 +250,19 @@ def above_diagonal_marks(dsm: Dsm) -> int:
 # ---------------------------------------------------------------------------
 
 
-def write_dsm_csv(dsm: Dsm) -> str:
+def _csv_lines(dsm: Dsm) -> Iterator[str]:
+    """The canonical CSV form one LF-ended line at a time, built from the marks.
+    An id that needs quoting raises ParseError before the first line."""
     for element_id in dsm.element_ids:
         if not element_id or not set(element_id) <= _ID_CHARS:
             raise ParseError(f"element id {element_id!r} needs quoting, not supported in CSV form")
-    lines = [",".join(["", *dsm.element_ids])]
+    yield ",".join(["", *dsm.element_ids]) + "\n"
     for element_id, cells in zip(dsm.element_ids, dsm._dense_rows("", str)):
-        lines.append(element_id + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+        yield element_id + "," + ",".join(cells) + "\n"
+
+
+def write_dsm_csv(dsm: Dsm) -> str:
+    return "".join(_csv_lines(dsm))
 
 
 def dsm_from_csv_text(text: str) -> Dsm:

@@ -30,8 +30,9 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .clustering import ClusterAssignment, ClusterParams, cluster
 from .data import MODEL_CATALOG
@@ -39,6 +40,9 @@ from .dsm import Dsm, build_dsm
 from .errors import DuplicateModelName, ParseError, UnknownModel, UnsplittablePiece
 from .manifest import ConversationElement, ConversationModel
 from .sequencing import SequencingResult, sequence
+
+if TYPE_CHECKING:
+    from .simulator import PlanLayout
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,15 @@ class ConversationPlan:
     model: ModelSpec
     config: BudgetConfig
     conversation: ConversationModel
+
+    @cached_property
+    def _layout(self) -> PlanLayout:
+        """The plan laid out as one token stream, window-free (see
+        :mod:`dsmplan.simulator`): built on first read and cached, outside
+        ``==``, ``hash`` and ``repr``."""
+        from .simulator import lay_out  # deferred: the simulator imports this module
+
+        return lay_out(self)
 
 
 @dataclass(frozen=True)

@@ -11,20 +11,31 @@ Laid out as one stream of token offsets, that rule has a closed form.  The
 stream only grows, so after piece k the window is the longest suffix of the
 stream that ends at piece k's end offset ``end_k`` and fits in CW: an entry
 is held exactly when its start offset is at least the head ``end_k - CW``.
-The head only moves forward, so each step's evictions are found by one
-bisection over the element start offsets.
 
 A dependency miss is a (consumer, provider) pair whose provider was already
 sent but is no longer in the window when the consumer's piece lands, i.e. the
-provider's start offset is below the head.  Providers that have not been sent
-yet (feedback edges inside coupled groups) are not misses — nothing was lost
-from the window.
+provider's start offset is below the head.  So each such pair has a *need*,
+``end_k`` minus the provider's start: the pair is missed exactly when its
+need exceeds CW.  Providers that have not been sent yet (feedback edges
+inside coupled groups) are not misses — nothing was lost from the window.
+
+The simulation therefore has two parts.  :func:`lay_out` walks the plan once,
+without a window: entry offsets, each piece's start and end, the
+output-overflow total, and every pair that can be missed with its need.  The
+layout is cached on the frozen plan (outside ``==``, ``hash`` and ``repr``),
+so a sweep lays a plan out once.  Per window, :func:`simulate` then costs one
+bisection per piece for the evictions (the head only moves forward), one
+comparison per piece for oversized pieces, and one per pair for the misses.
+:func:`loss_curve` sorts the needs instead, and gives misses and lost tokens
+at any window by one bisection.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from typing import NamedTuple
 
 from .errors import PieceExceedsWindow, SpecMismatch
 from .planning import ConversationPlan, max_filled_tokens, output_budget
@@ -51,6 +62,83 @@ class SimulationReport:
     oversized_piece_indices: tuple[int, ...]
 
 
+class PlanLayout(NamedTuple):
+    """A plan laid out as one token stream: everything about a FIFO run that
+    does not depend on the window.  Built by :func:`lay_out`."""
+
+    sent: tuple[str, ...]  # element ids in stream order
+    starts: tuple[int, ...]  # their start offsets, non-decreasing
+    piece_starts: tuple[int, ...]  # offset of each piece's first entry
+    piece_ends: tuple[int, ...]  # offset after each piece's reply
+    overflow: int  # output-overflow tokens over all pieces
+    pairs: tuple[tuple[str, str], ...]  # (consumer, provider) that can be missed, in report order
+    needs: tuple[int, ...]  # per pair: its piece's end minus the provider's start
+    provider_tokens: tuple[int, ...]  # per pair: what missing it loses
+    # why the plan is malformed, or ""; the piece offsets then stop before the faulty piece
+    fault: str = ""
+
+
+def lay_out(plan: ConversationPlan) -> PlanLayout:
+    """Walk ``plan`` once and lay it out; read it as the plan's cached ``_layout``.
+
+    A plan that sends an element twice, or one the conversation does not
+    have, is laid out up to that piece and the fault recorded, so that a
+    strict run can still report an earlier piece that does not fit.
+    """
+    counts = plan.conversation.token_counts()
+    deps = plan.conversation.dependencies()
+    inst = plan.config.instructions_per_piece
+    ust = plan.conversation.user_statement_tokens
+    fm_max = max_filled_tokens(plan.config, plan.model)
+
+    start: dict[str, int] = {}  # element id -> stream offset of its entry
+    piece_starts: list[int] = []
+    piece_ends: list[int] = []
+    pairs: list[tuple[str, str]] = []
+    needs: list[int] = []
+    provider_tokens: list[int] = []
+    overflow = 0
+    fault = ""
+    end = 0  # stream offset after the last entry sent
+
+    for k, piece in enumerate(plan.pieces):
+        piece_start = end
+        end += (ust if piece.includes_user_statement else 0) + inst
+        for element_id in piece.element_ids:
+            tokens = counts.get(element_id)
+            if tokens is None:
+                fault = f"piece {k + 1} names {element_id!r}, which is not in the conversation"
+            elif element_id in start:
+                fault = f"piece {k + 1} sends {element_id!r} a second time"
+            if fault:
+                return PlanLayout((), (), tuple(piece_starts), tuple(piece_ends), 0, (), (), (), fault)
+            start[element_id] = end
+            end += tokens
+        end += piece.fm_tokens
+        piece_starts.append(piece_start)
+        piece_ends.append(end)
+        for element_id in piece.element_ids:
+            for provider in deps[element_id]:
+                provider_start = start.get(provider)
+                if provider_start is not None:  # a provider not sent yet can't be missed
+                    pairs.append((element_id, provider))
+                    needs.append(end - provider_start)
+                    provider_tokens.append(counts[provider])
+        if piece.fm_tokens > fm_max:  # exactly when OB > OL
+            overflow -= output_budget(piece, plan.config, plan.model).ol_headroom
+
+    return PlanLayout(
+        sent=tuple(start),
+        starts=tuple(start.values()),
+        piece_starts=tuple(piece_starts),
+        piece_ends=tuple(piece_ends),
+        overflow=overflow,
+        pairs=tuple(pairs),
+        needs=tuple(needs),
+        provider_tokens=tuple(provider_tokens),
+    )
+
+
 def simulate(
     plan: ConversationPlan,
     *,
@@ -64,83 +152,79 @@ def simulate(
     that cannot fit the window even on its own raises PieceExceedsWindow;
     otherwise the run continues and the piece index is reported.  A plan that
     sends an element twice, or one the conversation does not have, raises
-    ValueError.
+    ValueError (under ``strict``, unless a piece before it does not fit).
     """
     cw = plan.model.context_window if context_window is None else context_window
     if cw <= 0:
         raise ValueError("context window must be positive")
-    counts = plan.conversation.token_counts()
-    deps = plan.conversation.dependencies()
-    inst = plan.config.instructions_per_piece
-    ust = plan.conversation.user_statement_tokens
-    fm_max = max_filled_tokens(plan.config, plan.model)
+    layout = plan._layout
+    piece_starts, piece_ends = layout.piece_starts, layout.piece_ends
+    oversized = tuple(k for k, (start, end) in enumerate(zip(piece_starts, piece_ends)) if end - start > cw)
+    if strict and oversized:
+        raise PieceExceedsWindow(oversized[0])
+    if layout.fault:
+        raise ValueError(layout.fault)
 
-    start: dict[str, int] = {}  # element id -> stream offset of its entry
-    sent: list[str] = []  # element ids in stream order
-    starts: list[int] = []  # their start offsets, non-decreasing
+    sent, starts = layout.sent, layout.starts
+    steps = []
     head = 0  # sent[:head] have left the window
-    end = 0  # stream offset after the last entry sent
-
-    steps: list[SimulationStep] = []
-    missed_pairs: list[tuple[str, str]] = []
-    lost_tokens = 0
-    overflow = 0
-    oversized: list[int] = []
-
     for k, piece in enumerate(plan.pieces):
-        piece_start = end
-        end += (ust if piece.includes_user_statement else 0) + inst
-        for element_id in piece.element_ids:
-            tokens = counts.get(element_id)
-            if tokens is None:
-                raise ValueError(
-                    f"piece {k + 1} names {element_id!r}, which is not in the conversation"
-                )
-            if element_id in start:
-                raise ValueError(f"piece {k + 1} sends {element_id!r} a second time")
-            start[element_id] = end
-            sent.append(element_id)
-            starts.append(end)
-            end += tokens
-        end += piece.fm_tokens
-        incoming = end - piece_start
-        if incoming > cw:
-            if strict:
-                raise PieceExceedsWindow(k)
-            oversized.append(k)
-
-        head_offset = end - cw  # the window holds exactly the entries starting here or later
-        new_head = bisect_left(starts, head_offset, head)
-        evicted = tuple(sent[head:new_head])
+        piece_end = piece_ends[k]
+        new_head = bisect_left(starts, piece_end - cw, head)
+        tokens_in = piece_end - piece_starts[k] - piece.fm_tokens
+        steps.append(SimulationStep(k, tokens_in, piece.fm_tokens, sent[head:new_head]))
         head = new_head
-        for element_id in piece.element_ids:
-            for provider in deps[element_id]:
-                # a provider not sent yet counts as held: nothing was lost
-                if start.get(provider, head_offset) < head_offset:
-                    missed_pairs.append((element_id, provider))
-                    lost_tokens += counts[provider]
-        steps.append(
-            SimulationStep(
-                piece_index=k,
-                tokens_in=incoming - piece.fm_tokens,
-                tokens_out=piece.fm_tokens,
-                evicted_element_ids=evicted,
-            )
-        )
-        if piece.fm_tokens > fm_max:  # exactly when OB > OL
-            overflow -= output_budget(piece, plan.config, plan.model).ol_headroom
-
+    missed = [need > cw for need in layout.needs]
+    missed_pairs = tuple(compress(layout.pairs, missed))
     return SimulationReport(
         model_name=plan.model.name,
         context_window=cw,
         max_output_tokens=plan.model.max_output_tokens,
         steps=tuple(steps),
         dependency_misses=len(missed_pairs),
-        lost_tokens=lost_tokens,
-        output_overflow_tokens=overflow,
-        missed_pairs=tuple(missed_pairs),
-        oversized_piece_indices=tuple(oversized),
+        lost_tokens=sum(compress(layout.provider_tokens, missed)),
+        output_overflow_tokens=layout.overflow,
+        missed_pairs=missed_pairs,
+        oversized_piece_indices=oversized,
     )
+
+
+class LossCurve(NamedTuple):
+    """What a plan loses as a function of the window, from :func:`loss_curve`.
+
+    ``needs`` holds the need of every dependency that can be missed, sorted
+    ascending, and ``provider_tokens`` what missing each one loses.
+    ``lost_from[i]`` is the sum of ``provider_tokens[i:]``: the tokens lost
+    by a window that misses all but the first ``i`` of them.
+    """
+
+    needs: tuple[int, ...]
+    provider_tokens: tuple[int, ...]
+    lost_from: tuple[int, ...]
+
+    def at(self, context_window: int) -> tuple[int, int]:
+        """``(dependency_misses, lost_tokens)`` of a run at ``context_window``."""
+        if context_window <= 0:
+            raise ValueError("context window must be positive")
+        kept = bisect_right(self.needs, context_window)
+        return len(self.needs) - kept, self.lost_from[kept]
+
+    @property
+    def lossless_window(self) -> int:
+        """The smallest window that loses nothing: the largest need, or 0 when
+        there is none.  Every window at least this large loses nothing."""
+        return self.needs[-1] if self.needs else 0
+
+
+def loss_curve(plan: ConversationPlan) -> LossCurve:
+    """The plan's loss curve; a malformed plan raises ValueError as in :func:`simulate`."""
+    layout = plan._layout
+    if layout.fault:
+        raise ValueError(layout.fault)
+    ranked = sorted(zip(layout.needs, layout.provider_tokens))
+    provider_tokens = tuple(tokens for _, tokens in ranked)
+    lost_from = list(accumulate(reversed(provider_tokens), initial=0))
+    return LossCurve(tuple(need for need, _ in ranked), provider_tokens, tuple(reversed(lost_from)))
 
 
 @dataclass(frozen=True)

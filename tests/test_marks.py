@@ -52,6 +52,7 @@ from dsmplan.errors import (
     NegativeWeight,
     NonSquare,
     NonzeroDiagonal,
+    ParseError,
 )
 from dsmplan.manifest import ConversationElement, ConversationModel, check_references
 from dsmplan.planning import BudgetConfig, make_pieces, plan_conversation
@@ -406,11 +407,18 @@ def printable_dsm(draw, max_n=40):
 @given(printable_dsm())
 @settings(max_examples=200, deadline=None)
 def test_printed_matrix_matches_the_dense_renderers(case):
-    d, csv_safe = case
+    d, _ = case
     assert cli_dsm(d, "text") == dense_text(d)
     assert cli_dsm(d, "json") == dense_json(d)
-    if csv_safe:
+    if all(set(e) <= _ID_CHARS for e in d.element_ids):
         assert write_dsm_csv(d) == cli_dsm(d, "csv") == dense_csv(d)
+    else:
+        out = io.StringIO()
+        with pytest.raises(ParseError, match="needs quoting"):
+            _write_dsm(d, "csv", out)
+        assert out.getvalue() == ""  # the id check comes before the first byte
+        with pytest.raises(ParseError, match="needs quoting"):
+            write_dsm_csv(d)
 
 
 _CORRUPTIONS = ["negative", "diagonal", "above_one", "drop_column", "extra_id"]

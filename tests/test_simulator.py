@@ -1,11 +1,14 @@
+import dataclasses
 import json
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsmplan import simulator
+from dsmplan.clustering import ClusterParams
 from dsmplan.errors import PieceExceedsWindow, SpecMismatch
 from dsmplan.dsm import build_dsm
 from dsmplan.manifest import ConversationElement, ConversationModel, parse_manifest
@@ -15,8 +18,9 @@ from dsmplan.planning import (
     ConversationPlan,
     ModelSpec,
     output_budget,
+    plan_conversation,
 )
-from dsmplan.simulator import SimulationReport, SimulationStep, compare, simulate
+from dsmplan.simulator import SimulationReport, SimulationStep, compare, loss_curve, simulate
 
 
 def fifo_oracle(plan: ConversationPlan, cw: int) -> tuple[int, int]:
@@ -515,3 +519,129 @@ def test_simulation_conserves_tokens(plan, cw):
 @settings(max_examples=300)
 def test_simulate_matches_fifo_replay(plan, cw, strict):
     assert_matches_replay(plan, cw, strict)
+
+
+# ---------------------------------------------------------------------------
+# the loss curve
+# ---------------------------------------------------------------------------
+
+
+@given(any_order_plan())
+@settings(max_examples=150)
+def test_loss_curve_matches_needs_and_replay(plan):
+    curve = loss_curve(plan)
+    counts = plan.conversation.token_counts()
+    needs = dependency_needs(plan)
+    assert list(curve.needs) == sorted(curve.needs)
+    assert Counter(curve.needs) == Counter(needs.values())
+    assert Counter(zip(curve.needs, curve.provider_tokens)) == Counter(
+        (need, counts[provider]) for (_, provider), need in needs.items()
+    )
+    for cw in {w for need in needs.values() for w in (need, need - 1) if w > 0}:
+        run = assert_matches_replay(plan, cw)
+        assert curve.at(cw) == (run.dependency_misses, run.lost_tokens)
+    window = curve.lossless_window
+    assert curve.at(max(window, 1)) == (0, 0)
+    if window > 1:
+        assert curve.at(window - 1)[0] > 0
+    assert window == max(needs.values(), default=0)
+
+
+def test_annealed_spacecraft_plan_loses_nothing_from_19544_tokens(spacecraft, mistral):
+    config = BudgetConfig(margin=0.05, instructions_per_piece=spacecraft.instruction_tokens)
+    _, _, plan = plan_conversation(spacecraft, ClusterParams(seed=42), config, mistral)
+    curve = loss_curve(plan)
+    assert curve.lossless_window == 19544
+    assert simulate(plan, context_window=19544).dependency_misses == 0
+    assert simulate(plan, context_window=19543).dependency_misses > 0
+
+
+def test_loss_curve_window_must_be_positive(reference_plan):
+    with pytest.raises(ValueError):
+        loss_curve(reference_plan).at(0)
+
+
+# ---------------------------------------------------------------------------
+# the cached layout
+# ---------------------------------------------------------------------------
+
+
+def _outcome(plan: ConversationPlan, cw: int, strict: bool):
+    """simulate's report, or the error it raises."""
+    try:
+        return simulate(plan, context_window=cw, strict=strict)
+    except (PieceExceedsWindow, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(any_order_plan(), st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=8), st.randoms())
+@settings(max_examples=100)
+def test_cached_plan_runs_like_a_fresh_one_at_every_window(plan, windows, rng):
+    calls = [(cw, strict) for cw in windows for strict in (False, True)]
+    rng.shuffle(calls)
+    for cw, strict in calls:
+        assert _outcome(plan, cw, strict) == _outcome(dataclasses.replace(plan), cw, strict)
+
+
+def test_cache_is_invisible_to_eq_hash_and_repr(reference_plan):
+    plan = dataclasses.replace(reference_plan)
+    before = (repr(plan), hash(plan))
+    simulate(plan, context_window=4000)
+    loss_curve(plan)
+    assert (repr(plan), hash(plan)) == before
+    assert plan == reference_plan == dataclasses.replace(plan)
+
+
+def test_a_sweep_lays_the_plan_out_once(reference_plan, monkeypatch):
+    calls = []
+
+    def counted(plan):
+        calls.append(plan)
+        return lay_out(plan)
+
+    lay_out = simulator.lay_out
+    monkeypatch.setattr(simulator, "lay_out", counted)
+    plan = dataclasses.replace(reference_plan)
+    for cw in (4000, 8000, 16000, 32000):
+        simulate(plan, context_window=cw)
+    loss_curve(plan)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "piece_ids,strict,error",
+    [
+        # the oversized piece comes first: strict reports it
+        ([["big"], ["a"], ["z"]], True, PieceExceedsWindow),
+        ([["big"], ["a"], ["z"]], False, ValueError),
+        # the malformed piece comes first, or is the oversized one itself
+        ([["a"], ["z"], ["big"]], True, ValueError),
+        ([["big", "a", "a"]], True, ValueError),
+        ([["a"], ["big", "z"]], True, ValueError),
+    ],
+)
+def test_first_fault_in_piece_order_decides_the_error(piece_ids, strict, error):
+    plan = _faulty_plan(piece_ids)
+    for cw in (100, 100, 200):
+        with pytest.raises(error) as raised:
+            simulate(plan, context_window=cw, strict=strict)
+        if error is PieceExceedsWindow:
+            assert raised.value.piece_index == 0
+
+
+def _faulty_plan(piece_ids) -> ConversationPlan:
+    """A plan over elements "a" (10 tokens) and "big" (500) that may send an
+    unknown "z" or an element twice."""
+    conv = _conversation({"a": 10, "big": 500})
+    pieces = tuple(
+        ConversationPiece(tuple(ids), 10, 10, includes_user_statement=(k == 0))
+        for k, ids in enumerate(piece_ids)
+    )
+    return ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
+
+
+def test_malformed_plan_has_no_loss_curve():
+    plan = _faulty_plan([["big"], ["a"], ["a"]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="'a' a second time"):
+            loss_curve(plan)
