@@ -316,8 +316,15 @@ def plan_conversation(
     config: BudgetConfig,
     spec: ModelSpec,
 ) -> tuple[SequencingResult, ClusterAssignment, ConversationPlan]:
-    """Full pipeline: matrix, capped clustering, sequence, pieces."""
-    dsm, clusters, _ = capped_cluster(conversation, cluster_params, config, spec)
+    """Full pipeline: matrix, capped clustering, sequence, pieces.
+
+    An empty conversation has nothing to cluster: it gets an empty assignment
+    and the zero-piece plan, as :func:`make_naive_plan` gives it.
+    """
+    if conversation.elements:
+        dsm, clusters, _ = capped_cluster(conversation, cluster_params, config, spec)
+    else:
+        dsm, clusters = build_dsm(()), ClusterAssignment({}, 0, 0.0, 0.0, 0.0)
     seq = sequence(dsm)
     plan = make_pieces(conversation, seq, clusters, config, spec)
     return seq, clusters, plan

@@ -146,6 +146,20 @@ def test_plan_naive_zero_margin_headroom(capsys):
     assert "-1521" in out  # ceil(9713 * 1.0) - 8192
 
 
+def test_an_empty_manifest_plans_to_zero_pieces(tmp_path, capsys):
+    manifest = tmp_path / "empty.json"
+    manifest.write_text('{"elements": []}', encoding="utf-8")
+    for argv in (["plan"], ["simulate", "--cw", "100"], ["budget"]):
+        code, _, err = run_cli(capsys, *argv, "--manifest", str(manifest))
+        assert (code, err) == (0, ""), argv
+    planned = run_cli(capsys, "plan", "--manifest", str(manifest), "--format", "json")
+    naive = run_cli(capsys, "plan", "--manifest", str(manifest), "--naive", "--format", "json")
+    assert planned == naive and planned[0] == 0
+    assert json.loads(planned[1])["pieces"] == []
+    # clustering itself still refuses an empty matrix
+    assert run_cli(capsys, "cluster", "--manifest", str(manifest))[0] == 2
+
+
 def test_budget_literal_fm_reproduces_reference_table(capsys, expected):
     want = expected["final_budget_fixture"]
     code, out, _ = run_cli(

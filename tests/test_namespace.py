@@ -1,0 +1,91 @@
+"""The package namespace: each public name is declared once and its layer
+module loads on first use, so importing the package or its data costs no
+layer import."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dsmplan
+from dsmplan import simulator
+
+# the names the eagerly importing package exported, as it listed them
+PUBLIC = [
+    "BINARY", "NUMERICAL", "BudgetConfig", "ClusterAssignment", "ClusterParams", "ConversationElement",
+    "ConversationModel", "ConversationPiece", "ConversationPlan", "Dsm", "LossCurve", "MetricDelta", "ModelSpec",
+    "Permutation", "PieceBudget", "SequencingResult", "SimulationReport", "SimulationStep", "TokenBudgetReport",
+    "above_diagonal_marks", "assignment_from_groups", "brute_force_cluster", "budget_report", "build_dsm",
+    "cluster", "clustering_cost", "compare", "count_tokens_approx", "default_model_catalog", "errors",
+    "find_model", "literal_plan", "load_model_catalog", "load_token_table", "loss_curve", "make_naive_plan",
+    "make_pieces", "max_piece_tokens", "output_budget", "parse_dsm_csv", "parse_manifest", "permute",
+    "plan_conversation", "reachability", "sequence", "simulate", "to_binary", "window_budget", "write_dsm_csv",
+]  # fmt: skip
+
+
+def _fresh(code: str):
+    """Run ``code`` in a new interpreter that imports dsmplan from this
+    checkout; it prints one JSON value, which is returned."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("module", ["dsmplan", "dsmplan.data", "dsmplan.errors"])
+def test_importing_the_package_loads_no_layer_and_no_numpy(module):
+    loaded = _fresh(
+        f"import json, sys, {module}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('dsmplan', 'numpy'))))"
+    )
+    assert loaded == sorted({"dsmplan", module})
+
+
+def test_submodules_resolve_after_a_bare_import():
+    assert _fresh(
+        "import json, dsmplan\n"
+        "print(json.dumps([dsmplan.planning.max_piece_tokens.__qualname__, dsmplan.data.MODEL_CATALOG.name]))"
+    ) == ["max_piece_tokens", "model_catalog.csv"]
+
+
+def test_public_names_are_their_home_modules_objects():
+    assert sorted(dsmplan.__all__) == sorted(PUBLIC)
+    assert dsmplan.errors is importlib.import_module("dsmplan.errors")
+    for name in PUBLIC:
+        if name == "errors":
+            continue
+        home = importlib.import_module(dsmplan._HOME[name])
+        value = getattr(dsmplan, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name  # defined there, not re-exported
+
+
+def test_dir_and_star_import_follow_all():
+    assert set(dsmplan.__all__) <= set(dir(dsmplan))
+    namespace: dict = {}
+    exec("from dsmplan import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dsmplan.__all__)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        dsmplan.nope
+
+
+def test_a_patched_layer_function_is_what_the_package_returns(monkeypatch):
+    original = dsmplan.simulate
+
+    def fake(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(simulator, "simulate", fake)
+    assert dsmplan.simulate is fake
+    monkeypatch.undo()
+    assert dsmplan.simulate is original is simulator.simulate
+    assert "simulate" not in vars(dsmplan)  # looked up, never stored
