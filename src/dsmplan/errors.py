@@ -96,12 +96,6 @@ class UnsplittablePiece(DsmPlanError):
         )
 
 
-class PieceExceedsWindow(DsmPlanError):
-    def __init__(self, piece_index: int):
-        self.piece_index = piece_index
-        super().__init__(f"piece {piece_index + 1} does not fit the context window even when alone")
-
-
 class SpecMismatch(DsmPlanError):
     pass
 

@@ -129,9 +129,11 @@ def _statement_tokens(raw: Any, what: str) -> int:
             if not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0:
                 raise ParseError(f"{what}.tokens must be a non-negative integer")
             return tokens
-        if "text" in raw and isinstance(raw["text"], str):
-            return count_tokens_approx(raw["text"])
-        raise ParseError(f"{what} object needs a 'tokens' or 'text' key")
+        if "text" not in raw:
+            raise ParseError(f"{what} object needs a 'tokens' or 'text' key")
+        if not isinstance(raw["text"], str):
+            raise ParseError(f"{what}.text must be a string")
+        return count_tokens_approx(raw["text"])
     raise ParseError(f"{what} must be a string or an object with a 'tokens' key")
 
 

@@ -306,7 +306,8 @@ def capped_cluster(
         if count > cap:
             raise UnsplittablePiece(element_id)
     dsm = build_dsm(conversation.elements)
-    params = replace(cluster_params, max_cluster_tokens=cap)
+    # every count is at most cap, so a cap of 0 binds as 1 does; the search wants it positive
+    params = replace(cluster_params, max_cluster_tokens=max(cap, 1))
     return dsm, cluster(dsm, params, token_counts=counts), cap
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import NamedTuple
 
-from .errors import PieceExceedsWindow, SpecMismatch
+from .errors import SpecMismatch
 from .planning import ConversationPlan, max_filled_tokens, output_budget
 
 
@@ -74,16 +74,15 @@ class PlanLayout(NamedTuple):
     pairs: tuple[tuple[str, str], ...]  # (consumer, provider) that can be missed, in report order
     needs: tuple[int, ...]  # per pair: its piece's end minus the provider's start
     provider_tokens: tuple[int, ...]  # per pair: what missing it loses
-    # why the plan is malformed, or ""; the piece offsets then stop before the faulty piece
-    fault: str = ""
 
 
 def lay_out(plan: ConversationPlan) -> PlanLayout:
     """Walk ``plan`` once and lay it out; read it as the plan's cached ``_layout``.
 
-    A plan that sends an element twice, or one the conversation does not
-    have, is laid out up to that piece and the fault recorded, so that a
-    strict run can still report an earlier piece that does not fit.
+    A malformed plan, one that sends an element twice or one the conversation
+    does not have, raises ValueError at the first such element; nothing is
+    cached then, so every later read raises again.  A piece too large for
+    some window is no fault here: the layout does not depend on the window.
     """
     counts = plan.conversation.token_counts()
     deps = plan.conversation.dependencies()
@@ -98,7 +97,6 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
     needs: list[int] = []
     provider_tokens: list[int] = []
     overflow = 0
-    fault = ""
     end = 0  # stream offset after the last entry sent
 
     for k, piece in enumerate(plan.pieces):
@@ -107,11 +105,9 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
         for element_id in piece.element_ids:
             tokens = counts.get(element_id)
             if tokens is None:
-                fault = f"piece {k + 1} names {element_id!r}, which is not in the conversation"
-            elif element_id in start:
-                fault = f"piece {k + 1} sends {element_id!r} a second time"
-            if fault:
-                return PlanLayout((), (), tuple(piece_starts), tuple(piece_ends), 0, (), (), (), fault)
+                raise ValueError(f"piece {k + 1} names {element_id!r}, which is not in the conversation")
+            if element_id in start:
+                raise ValueError(f"piece {k + 1} sends {element_id!r} a second time")
             start[element_id] = end
             end += tokens
         end += piece.fm_tokens
@@ -139,20 +135,14 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
     )
 
 
-def simulate(
-    plan: ConversationPlan,
-    *,
-    context_window: int | None = None,
-    strict: bool = False,
-) -> SimulationReport:
+def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> SimulationReport:
     """Run ``plan`` through a FIFO window of ``context_window`` tokens.
 
     ``context_window`` defaults to the plan's model; passing it explicitly
-    supports sweeps below the model's output limit.  With ``strict`` a piece
-    that cannot fit the window even on its own raises PieceExceedsWindow;
-    otherwise the run continues and the piece index is reported.  A plan that
-    sends an element twice, or one the conversation does not have, raises
-    ValueError (under ``strict``, unless a piece before it does not fit).
+    supports sweeps below the model's output limit.  A piece that cannot fit
+    the window even on its own is run all the same, evicting its own earliest
+    entries, and listed in ``oversized_piece_indices``.  ValueError is raised
+    only for a non-positive window or a malformed plan (see :func:`lay_out`).
     """
     cw = plan.model.context_window if context_window is None else context_window
     if cw <= 0:
@@ -160,11 +150,6 @@ def simulate(
     layout = plan._layout
     piece_starts, piece_ends = layout.piece_starts, layout.piece_ends
     oversized = tuple(k for k, (start, end) in enumerate(zip(piece_starts, piece_ends)) if end - start > cw)
-    if strict and oversized:
-        raise PieceExceedsWindow(oversized[0])
-    if layout.fault:
-        raise ValueError(layout.fault)
-
     sent, starts = layout.sent, layout.starts
     steps = []
     head = 0  # sent[:head] have left the window
@@ -219,8 +204,6 @@ class LossCurve(NamedTuple):
 def loss_curve(plan: ConversationPlan) -> LossCurve:
     """The plan's loss curve; a malformed plan raises ValueError as in :func:`simulate`."""
     layout = plan._layout
-    if layout.fault:
-        raise ValueError(layout.fault)
     ranked = sorted(zip(layout.needs, layout.provider_tokens))
     provider_tokens = tuple(tokens for _, tokens in ranked)
     lost_from = list(accumulate(reversed(provider_tokens), initial=0))

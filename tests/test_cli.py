@@ -160,6 +160,22 @@ def test_an_empty_manifest_plans_to_zero_pieces(tmp_path, capsys):
     assert run_cli(capsys, "cluster", "--manifest", str(manifest))[0] == 2
 
 
+def test_a_zero_piece_cap_plans_like_the_naive_plan(tmp_path, capsys):
+    # every element has 0 tokens and OL is 1, so max_piece_tokens is 0
+    manifest = tmp_path / "zero.json"
+    elements = [{"id": "A", "tokens": 0}, {"id": "B", "tokens": 0, "deps": ["A"]}, {"id": "C", "tokens": 0, "deps": ["B", "A"]}]
+    manifest.write_text(json.dumps({"elements": elements}), encoding="utf-8")
+    common = ("--manifest", str(manifest), "--ol", "1")
+    for argv in (["plan"], ["simulate", "--cw", "100"], ["budget"], ["cluster"]):
+        code, _, err = run_cli(capsys, *argv, *common)
+        assert (code, err) == (0, ""), argv
+    planned = run_cli(capsys, "plan", *common, "--format", "json")
+    naive = run_cli(capsys, "plan", *common, "--naive", "--format", "json")
+    assert planned == naive and planned[0] == 0
+    code, out, _ = run_cli(capsys, "cluster", *common, "--format", "json")
+    assert code == 0 and '"max_cluster_tokens": 0' in out
+
+
 def test_budget_literal_fm_reproduces_reference_table(capsys, expected):
     want = expected["final_budget_fixture"]
     code, out, _ = run_cli(

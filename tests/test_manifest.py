@@ -140,6 +140,13 @@ def test_statement_text_is_counted(tmp_path):
     assert parse_manifest(path).user_statement_tokens == 5
 
 
+@pytest.mark.parametrize("key", ["user_statement", "instructions"])
+def test_statement_text_must_be_a_string(tmp_path, key):
+    path = _write(tmp_path, {key: {"text": 7}, "elements": [{"id": "x", "label": "X", "tokens": 1}]})
+    with pytest.raises(ParseError, match=f"^{key}.text must be a string$"):
+        parse_manifest(path)
+
+
 def test_duplicate_id(tmp_path):
     path = _write(
         tmp_path,

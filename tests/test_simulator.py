@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dsmplan import simulator
 from dsmplan.clustering import ClusterParams
-from dsmplan.errors import PieceExceedsWindow, SpecMismatch
+from dsmplan.errors import SpecMismatch
 from dsmplan.dsm import build_dsm
 from dsmplan.manifest import ConversationElement, ConversationModel, parse_manifest
 from dsmplan.planning import (
@@ -56,7 +56,7 @@ def fifo_oracle(plan: ConversationPlan, cw: int) -> tuple[int, int]:
     return misses, lost
 
 
-def fifo_replay(plan: ConversationPlan, cw: int, strict: bool = False) -> SimulationReport:
+def fifo_replay(plan: ConversationPlan, cw: int) -> SimulationReport:
     """The whole report from an entry-by-entry deque replay of the window."""
     counts = plan.conversation.token_counts()
     deps = plan.conversation.dependencies()
@@ -95,8 +95,6 @@ def fifo_replay(plan: ConversationPlan, cw: int, strict: bool = False) -> Simula
         incoming = sum(tokens for _, _, tokens in entries)
 
         if incoming > cw:
-            if strict:
-                raise PieceExceedsWindow(k)
             oversized.append(k)
 
         evicted: list[str] = []
@@ -142,19 +140,10 @@ def fifo_replay(plan: ConversationPlan, cw: int, strict: bool = False) -> Simula
     )
 
 
-def assert_matches_replay(
-    plan: ConversationPlan, cw: int, strict: bool = False
-) -> SimulationReport | None:
-    """``simulate`` gives the replay's report, or raises at the same piece."""
-    try:
-        want = fifo_replay(plan, cw, strict)
-    except PieceExceedsWindow as exc:
-        with pytest.raises(PieceExceedsWindow) as got:
-            simulate(plan, context_window=cw, strict=strict)
-        assert got.value.piece_index == exc.piece_index
-        return None
-    run = simulate(plan, context_window=cw, strict=strict)
-    assert run == want
+def assert_matches_replay(plan: ConversationPlan, cw: int) -> SimulationReport:
+    """``simulate`` gives the replay's report."""
+    run = simulate(plan, context_window=cw)
+    assert run == fifo_replay(plan, cw)
     return run
 
 
@@ -358,10 +347,10 @@ def test_malformed_plan_is_rejected(piece_ids, message):
 
 
 def test_oversized_piece_reported_or_raised(naive_plan):
+    # reported, never raised: the piece is run and evicts its own earliest entries
     run = simulate(naive_plan, context_window=1000)
     assert run.oversized_piece_indices == (0,)
-    with pytest.raises(PieceExceedsWindow, match="piece 1"):
-        simulate(naive_plan, context_window=1000, strict=True)
+    assert run == fifo_replay(naive_plan, 1000)
 
 
 def test_simulation_is_deterministic(reference_plan):
@@ -515,10 +504,10 @@ def test_simulation_conserves_tokens(plan, cw):
     assert (roomy.dependency_misses, roomy.lost_tokens, roomy.missed_pairs) == (0, 0, ())
 
 
-@given(any_order_plan(), st.integers(min_value=1, max_value=300), st.booleans())
+@given(any_order_plan(), st.integers(min_value=1, max_value=300))
 @settings(max_examples=300)
-def test_simulate_matches_fifo_replay(plan, cw, strict):
-    assert_matches_replay(plan, cw, strict)
+def test_simulate_matches_fifo_replay(plan, cw):
+    assert_matches_replay(plan, cw)
 
 
 # ---------------------------------------------------------------------------
@@ -566,21 +555,11 @@ def test_loss_curve_window_must_be_positive(reference_plan):
 # ---------------------------------------------------------------------------
 
 
-def _outcome(plan: ConversationPlan, cw: int, strict: bool):
-    """simulate's report, or the error it raises."""
-    try:
-        return simulate(plan, context_window=cw, strict=strict)
-    except (PieceExceedsWindow, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-@given(any_order_plan(), st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=8), st.randoms())
+@given(any_order_plan(), st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=8))
 @settings(max_examples=100)
-def test_cached_plan_runs_like_a_fresh_one_at_every_window(plan, windows, rng):
-    calls = [(cw, strict) for cw in windows for strict in (False, True)]
-    rng.shuffle(calls)
-    for cw, strict in calls:
-        assert _outcome(plan, cw, strict) == _outcome(dataclasses.replace(plan), cw, strict)
+def test_cached_plan_runs_like_a_fresh_one_at_every_window(plan, windows):
+    for cw in windows:
+        assert simulate(plan, context_window=cw) == simulate(dataclasses.replace(plan), context_window=cw)
 
 
 def test_cache_is_invisible_to_eq_hash_and_repr(reference_plan):
@@ -609,24 +588,25 @@ def test_a_sweep_lays_the_plan_out_once(reference_plan, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "piece_ids,strict,error",
+    "piece_ids,message",
     [
-        # the oversized piece comes first: strict reports it
-        ([["big"], ["a"], ["z"]], True, PieceExceedsWindow),
-        ([["big"], ["a"], ["z"]], False, ValueError),
-        # the malformed piece comes first, or is the oversized one itself
-        ([["a"], ["z"], ["big"]], True, ValueError),
-        ([["big", "a", "a"]], True, ValueError),
-        ([["a"], ["big", "z"]], True, ValueError),
+        # an oversized piece before the fault, at it, or after it changes nothing
+        pytest.param([["big"], ["a"], ["z"]], "piece 3 names 'z', which is not in the conversation", id="big-before-unknown"),
+        pytest.param([["big"], ["a"], ["a"]], "piece 3 sends 'a' a second time", id="big-before-resent"),
+        pytest.param([["big", "a", "a"]], "piece 1 sends 'a' a second time", id="big-at-resent"),
+        pytest.param([["a"], ["big", "z"]], "piece 2 names 'z', which is not in the conversation", id="big-at-unknown"),
+        pytest.param([["a"], ["z"], ["big"]], "piece 2 names 'z', which is not in the conversation", id="big-after-unknown"),
     ],
 )
-def test_first_fault_in_piece_order_decides_the_error(piece_ids, strict, error):
+def test_first_fault_in_piece_order_decides_the_error(piece_ids, message):
     plan = _faulty_plan(piece_ids)
-    for cw in (100, 100, 200):
-        with pytest.raises(error) as raised:
-            simulate(plan, context_window=cw, strict=strict)
-        if error is PieceExceedsWindow:
-            assert raised.value.piece_index == 0
+    for cw in (100, 100, 200, 10**6):  # the repeat: a failed layout is not cached
+        with pytest.raises(ValueError) as raised:
+            simulate(plan, context_window=cw)
+        assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        loss_curve(plan)
+    assert str(raised.value) == message
 
 
 def _faulty_plan(piece_ids) -> ConversationPlan:
