@@ -185,12 +185,13 @@ def budget_report(plan: ConversationPlan) -> TokenBudgetReport:
 def _plan(
     chunks: list[tuple[str, ...]],
     conversation: ConversationModel,
+    counts: dict[str, int],
     config: BudgetConfig,
     spec: ModelSpec,
 ) -> ConversationPlan:
-    """One piece per chunk of element ids, in order; the user statement rides
-    along with the first piece."""
-    counts = conversation.token_counts()
+    """One piece per chunk of element ids, in order, each weighed by ``counts``
+    (the conversation's :meth:`~ConversationModel.token_counts`); the user
+    statement rides along with the first piece."""
     pieces = []
     for k, chunk in enumerate(chunks):
         gm = sum(counts[e] for e in chunk)
@@ -255,7 +256,7 @@ def make_pieces(
 
     cap = max_piece_tokens(config, spec)
     chunks = [chunk for run in runs for chunk in _split_oversized(run, counts, cap)]
-    return _plan(chunks, conversation, config, spec)
+    return _plan(chunks, conversation, counts, config, spec)
 
 
 def make_naive_plan(
@@ -267,7 +268,7 @@ def make_naive_plan(
     to show what happens without structure-aware cutting.
     """
     ids = conversation.element_ids
-    return _plan([ids] if ids else [], conversation, config, spec)
+    return _plan([ids] if ids else [], conversation, conversation.token_counts(), config, spec)
 
 
 def literal_plan(
@@ -286,7 +287,7 @@ def literal_plan(
         for k, value in enumerate(fm_values)
     )
     conversation = ConversationModel(elements=elements, user_statement_tokens=ust_tokens)
-    return _plan([(e.id,) for e in elements], conversation, config, spec)
+    return _plan([(e.id,) for e in elements], conversation, conversation.token_counts(), config, spec)
 
 
 def capped_cluster(

@@ -1,0 +1,91 @@
+"""The paired runner's summary and verdicts, on canned ``bench/run.py`` result lines."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "plan_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "feasible_plans", "unit": "count", "better": "higher", "bound": 0.1},
+]
+
+
+def line(plan_s=None, feasible=3, failed=0, attempted=40, correct=True) -> dict:
+    """One result line as ``bench/run.py`` prints it last."""
+    metrics = {"feasible_plans": {"value": feasible, "unit": "count"}}
+    if plan_s is not None:
+        metrics["plan_s"] = {"value": plan_s, "unit": "s"}
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
+
+
+def test_quantile_summary():
+    summary = bench_pairs.quantile_summary([float(v) for v in range(10, 0, -1)])
+    assert summary == pytest.approx({"median": 5.5, "q1": 3.25, "q3": 7.75, "min": 1.0, "p10": 1.9})
+    assert bench_pairs.quantile_summary([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "min": 2.0, "p10": 2.0}
+
+
+@pytest.mark.parametrize(
+    "parent,change,better,verdict",
+    [
+        # wins every pair, by more than the parent's spread
+        ([80, 82, 84, 79, 81, 83, 85, 80, 82, 81], [66, 69, 68, 65, 70, 67, 66, 71, 68, 69], "lower", "better"),
+        # 9 of 10 pairs is enough
+        ([80, 82, 84, 79, 81, 83, 85, 80, 82, 81], [66, 69, 68, 65, 70, 67, 66, 71, 68, 90], "lower", "better"),
+        # wins 9 of 10, but the medians sit inside the parent's interquartile range
+        ([60, 100, 60, 100, 60, 100, 60, 100, 60, 100], [59, 99, 59, 99, 59, 99, 59, 99, 59, 100], "lower", "unresolved"),
+        # worse by 30% against a bound of 25%
+        ([10] * 10, [13] * 10, "lower", "worse"),
+        # worse by 20%: inside the bound, and the parent's runs agree
+        ([10] * 10, [12] * 10, "lower", "within bound"),
+        # a little worse while the parent's own spread is wider than the bound
+        ([6, 14, 6, 14, 6, 14, 6, 14, 6, 14], [7, 15, 7, 15, 7, 15, 7, 15, 7, 15], "lower", "unresolved"),
+        # equal quality counts
+        ([3] * 10, [3] * 10, "higher", "within bound"),
+        # a higher-is-better count that fell
+        ([3] * 10, [2] * 10, "higher", "worse"),
+        # from zero, any worsening is beyond every bound
+        ([0] * 4, [1] * 4, "lower", "worse"),
+    ],
+)
+def test_verdicts(parent, change, better, verdict):
+    assert bench_pairs.compare(parent, change, better, 0.25)["verdict"] == verdict
+
+
+def test_wins_and_losses_leave_ties_out():
+    result = bench_pairs.compare([5, 5, 5, 6], [4, 5, 6, 5], "lower", 0.1)
+    assert (result["change_wins"], result["change_losses"]) == (2, 1)
+    assert result["relative_change"] == pytest.approx(0.0)
+
+
+def test_compare_needs_paired_runs():
+    with pytest.raises(ValueError):
+        bench_pairs.compare([1.0, 2.0], [1.0], "lower", 0.1)
+    with pytest.raises(ValueError):
+        bench_pairs.compare([], [], "lower", 0.1)
+
+
+def test_summarize_reads_result_lines():
+    runs = [{"parent": line(0.080 + k / 1000), "change": line(0.065 + k / 1000)} for k in range(10)]
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["metrics"]["plan_s"]["verdict"] == "better"
+    assert summary["metrics"]["plan_s"]["change_wins"] == 10
+    assert summary["metrics"]["feasible_plans"]["verdict"] == "within bound"
+    assert summary["failed_share"] == {"parent": 0.0, "change": 0.0, "verdict": "within bound"}
+    assert summary["all_correct"]
+
+
+def test_summarize_reports_failures_and_unmeasured_metrics():
+    runs = [
+        {"parent": line(0.08), "change": line(None, failed=2, correct=False)},
+        {"parent": line(0.08), "change": line(0.07)},
+    ]
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["metrics"]["plan_s"] == {"verdict": "not measured"}
+    assert summary["failed_share"] == {"parent": 0.0, "change": 2 / 80, "verdict": "worse"}
+    assert not summary["all_correct"]

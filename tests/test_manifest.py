@@ -331,3 +331,18 @@ def test_negative_table_count_fails_after_the_reference_check(tmp_path):
     path = _write(tmp_path, {"elements": [{"id": "x", "deps": ["nope"]}]})
     with pytest.raises(UnknownDependency):
         parse_manifest(path, table)
+
+
+@pytest.mark.parametrize("key", ["user_statement", "instructions"])
+def test_null_text_is_no_text(tmp_path, key):
+    # a JSON null text means "no text", for an element and a statement object alike
+    path = _write(tmp_path, {key: {"tokens": 5, "text": None}, "elements": [{"id": "x", "tokens": 5, "text": None}]})
+    model = parse_manifest(path)
+    assert model.token_counts() == {"x": 5}
+    assert (model.user_statement_tokens, model.instruction_tokens) == ((5, 0) if key == "user_statement" else (0, 5))
+    path = _write(tmp_path, {key: {"text": None}, "elements": [{"id": "x", "tokens": 1}]})
+    with pytest.raises(ParseError, match=f"^{key} object needs a 'tokens' or 'text' key$"):
+        parse_manifest(path)
+    path = _write(tmp_path, {"elements": [{"id": "x", "text": None}]})
+    with pytest.raises(MissingTokenCount):
+        parse_manifest(path)

@@ -346,6 +346,15 @@ def test_make_pieces_requires_matching_element_sets(spacecraft, spacecraft_dsm, 
         make_pieces(spacecraft, seq, clusters, BudgetConfig(), mistral)
 
 
+def test_make_pieces_reads_the_counts_once(spacecraft, spacecraft_dsm, mistral, fixture_config, monkeypatch):
+    calls = []
+    token_counts = ConversationModel.token_counts
+    monkeypatch.setattr(ConversationModel, "token_counts", lambda self: calls.append(self) or token_counts(self))
+    clusters = assignment_from_groups(spacecraft_dsm, REFERENCE_GROUPS)
+    make_pieces(spacecraft, sequence(spacecraft_dsm), clusters, fixture_config, mistral)
+    assert calls == [spacecraft]
+
+
 def test_naive_plan_is_one_unsplit_piece(naive_plan, spacecraft):
     assert len(naive_plan.pieces) == 1
     assert list(naive_plan.pieces[0].element_ids) == list(spacecraft.element_ids)

@@ -57,6 +57,18 @@ def test_approx_counts_as_by_char(text):
     assert count_tokens_approx(text) == count_by_char(text)
 
 
+# the counter's byte path: every ASCII character, the controls and the
+# \x1c-\x1f separators included, drawn far more often than the text above draws them
+@given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=127), max_size=200))
+def test_ascii_counts_as_by_char(text):
+    assert count_tokens_approx(text) == count_by_char(text)
+
+
+def test_every_two_character_ascii_string_counts_as_by_char():
+    texts = [a + b for a in map(chr, range(128)) for b in map(chr, range(128))]
+    assert [t for t in texts if count_tokens_approx(t) != count_by_char(t)] == []
+
+
 def test_every_code_point_counts_as_by_char():
     chars = [chr(cp) for cp in range(sys.maxunicode + 1)]
     for texts in (chars, ["a" + ch + "b" for ch in chars]):
