@@ -11,10 +11,10 @@ unless ``--seconds`` says otherwise.  Run from anywhere inside a checkout:
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 --seed 11
 
 writes ``BENCH_<date>_<sha>.json`` (the date in UTC, the change's short
-sha) into ``--out``, default the repository root.  For every end-to-end
-metric in the change's ``BENCHMARK.json`` the file gives each side's
-median, quartiles, min and p10, the pairs the change won (ties count for
-neither), and a verdict:
+sha) into the repository root, or the file ``--out`` names.  For every
+end-to-end metric in the change's ``BENCHMARK.json`` the file gives each
+side's median, quartiles, min and p10, the pairs the change won (ties
+count for neither), and a verdict:
 
 * ``better``: the change won at least 9 in 10 pairs, and the medians differ
   by more than the parent's interquartile range;
@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="the first seed; pair p runs seed + p")
     parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--out", type=Path, help="directory for the result file (default: the repository root)")
+    parser.add_argument("--out", type=Path, help="the result file (default: BENCH_<date>_<sha>.json in the repository root)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -197,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
             result["workloads"][workload] = {"pairs": runs, **summarize(runs, benchmark["end_to_end"])}
 
     date = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d")
-    out = (args.out or repo) / f"BENCH_{date}_{change[:10]}.json"
+    out = args.out or repo / f"BENCH_{date}_{change[:10]}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for workload, summary in result["workloads"].items():
         for name, metric in summary["metrics"].items():
