@@ -5,8 +5,8 @@ Exports two commits of this repository with ``git archive`` into fresh
 directories, compiles both the same way (``compileall``), and runs each
 one's own ``bench/run.py`` in k alternating pairs per workload: pair p runs
 the p-th seed on both sides, the parent first in even pairs and the change
-first in odd ones.  The run length is the benchmark's own ``run_seconds``
-unless ``--seconds`` says otherwise.  Run from anywhere inside a checkout:
+first in odd ones, each for the benchmark's own ``run_seconds``.  Run from
+anywhere inside a checkout:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 --seed 11
 
@@ -156,7 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", help="repeat for several (default: every workload)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="the first seed; pair p runs seed + p")
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--out", type=Path, help="the result file (default: BENCH_<date>_<sha>.json in the repository root)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -170,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in ("BENCHMARK.json", *benchmark["paths"])
     )
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     seeds = [args.seed + p for p in range(args.pairs)]
 
     result: dict = {

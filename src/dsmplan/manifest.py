@@ -50,11 +50,8 @@ class ConversationElement:
     token_count: int | None = None
 
     def __post_init__(self) -> None:
-        # a repeated dependency is one dependency: one DSM mark, one miss when
-        # lost; a tuple without repeats is kept, not copied
-        dependencies = tuple(dict.fromkeys(self.dependencies))
-        if dependencies != self.dependencies:
-            object.__setattr__(self, "dependencies", dependencies)
+        # a repeated dependency is one dependency: one DSM mark, one miss when lost
+        object.__setattr__(self, "dependencies", tuple(dict.fromkeys(self.dependencies)))
         if self.token_count is not None and self.token_count < 0:
             raise ValueError(f"element {self.id!r} has negative token count")
 
@@ -120,14 +117,14 @@ def read_json_file(path: str | Path, what: str) -> Any:
         raise ParseError(f"{what} {path}: {exc}") from None
 
 
-def _text_field(raw: dict, name: str, *name_args: object) -> str | None:
+def _text_field(raw: dict, label: str) -> str | None:
     """The ``text`` of a manifest object, or None when it has none: a missing
     key and a JSON ``null`` both mean no text, for an element and for a
     user_statement/instructions object alike.  Any other non-string is a
-    ParseError headed ``name.format(*name_args)``, formatted only then."""
+    ParseError headed ``label``."""
     text = raw.get("text")
     if text is not None and not isinstance(text, str):
-        raise ParseError(f"{name.format(*name_args)} must be a string")
+        raise ParseError(f"{label} must be a string")
     return text
 
 
@@ -173,7 +170,7 @@ def _parse_element(raw: Any, position: int) -> _ElementFields:
     deps = raw.get("deps", [])
     if not isinstance(deps, list) or not all(isinstance(d, str) for d in deps):
         raise ParseError(f"element {element_id!r}: deps must be a list of ids")
-    text = _text_field(raw, "element {!r}: text", element_id)
+    text = _text_field(raw, f"element {element_id!r}: text")
     tokens = raw.get("tokens")
     if tokens is not None and (not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0):
         raise ParseError(f"element {element_id!r}: tokens must be a non-negative integer")

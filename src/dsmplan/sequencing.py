@@ -5,29 +5,17 @@ nonzero.  Sequencing condenses strongly connected components (coupled element
 groups that cannot be serialized) and levels the resulting DAG by longest path
 from the sources.  Flattening the levels gives an order in which every
 provider precedes its consumers except inside cycles.  Both
-:func:`sequence` and :func:`reachability` read each element's providers
-straight from the DSM's row-major marks, and walk the strongly connected
-components in Tarjan's order, providers first: sequencing runs in
-O(n + marks), and reachability, which keeps each element's closure as a
-Python-int bitset, in O(n + marks) big-int ORs.
+:func:`sequence` and :func:`reachability` read the edges from the DSM's
+marks and walk its strongly connected components in Tarjan's order:
+sequencing runs in O(n + marks), and reachability, which keeps each
+element's closure as a Python-int bitset, in O(n + marks) big-int ORs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .dsm import Dsm, Permutation
-
-
-def _provider_edges(dsm: Dsm) -> tuple[list[int], tuple[int, ...]]:
-    """``(start, cols)``: element i's providers are ``cols[start[i]:start[i + 1]]``.
-
-    The marks are row-major, so each row's columns are one run of ``cols``.
-    """
-    rows, cols, _ = dsm.marks
-    return [bisect_left(rows, i) for i in range(dsm.n + 1)], cols
 
 
 def reachability(dsm: Dsm) -> tuple[int, ...]:
@@ -39,71 +27,70 @@ def reachability(dsm: Dsm) -> tuple[int, ...]:
     the closures of its members' providers, so the whole closure costs
     O(n + marks) big-int ORs.  Idempotent: closing the closure changes nothing.
     """
-    start, providers = _provider_edges(dsm)
+    providers: list[list[int]] = [[] for _ in range(dsm.n)]
+    for i, j in zip(dsm.marks[0], dsm.marks[1]):
+        providers[i].append(j)
     closure = [0] * dsm.n
-    for members in _tarjan_sccs(start, providers):
+    # over provider edges, Tarjan emits each component after every component
+    # it reaches, which puts providers first
+    for members in _tarjan_sccs(providers):
         reach = 0
         for v in members:
             reach |= 1 << v
-            for j in providers[start[v] : start[v + 1]]:
+            for j in providers[v]:
                 reach |= closure[j]  # 0 inside this component: its bits are the members'
         for v in members:
             closure[v] = reach
     return tuple(closure)
 
 
-def _tarjan_sccs(start: list[int], targets: Sequence[int]) -> Iterator[list[int]]:
-    """Iterative Tarjan over the graph in which vertex v has an edge to each of
-    ``targets[start[v]:start[v + 1]]``; yields each component's members after
-    every component it reaches (reverse topological order).
-
-    The search keeps only ints per vertex: the DFS path holds vertices, and
-    each vertex on it resumes from a position in ``targets``.  A vertex whose
-    component was yielded gets index n, above every live index, so it never
-    lowers a low-link and needs no on-stack flag.
-    """
-    n = len(start) - 1
+def _tarjan_sccs(succ: list[list[int]]) -> list[list[int]]:
+    """Iterative Tarjan; returns components as lists of vertex indices, each
+    after every component it reaches (reverse topological order)."""
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
-    resume = start[:n]  # each vertex's next edge to follow
+    on_stack = [False] * n
     stack: list[int] = []
-    path: list[int] = []
+    components: list[list[int]] = []
     counter = 0
+
     for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        path.append(root)
-        while path:
-            v = path[-1]
-            k, end = resume[v], start[v + 1]
-            while k < end:
-                w = targets[k]
-                k += 1
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]  # the DFS path, each with its unvisited successors
+        while work:
+            v, children = work[-1]
+            for w in children:
                 if index[w] < 0:
-                    resume[v] = k
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    path.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if index[w] < low[v]:
+                if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            else:  # every edge of v is done
-                path.pop()
+            else:  # every successor of v is done
+                work.pop()
                 if low[v] == index[v]:
                     component = []
                     while True:
                         u = stack.pop()
-                        index[u] = n
+                        on_stack[u] = False
                         component.append(u)
                         if u == v:
                             break
-                    yield component
-                if path and low[v] < low[path[-1]]:
-                    low[path[-1]] = low[v]
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    return components
 
 
 @dataclass(frozen=True)
@@ -126,41 +113,48 @@ def sequence(dsm: Dsm) -> SequencingResult:
     groups stay contiguous.
     """
     n = dsm.n
-    ids = dsm.element_ids
-    start, providers = _provider_edges(dsm)
-    level = [0] * n  # of each element's component; 0 until that is leveled
-    first = list(range(n))  # of each element's component: its first member
-    coupled: dict[int, list[int]] = {}  # first member -> the members of a coupled group, sorted
-    # Tarjan over provider edges yields every provider component first, so
-    # each component sits one past the deepest level its providers hold;
-    # providers inside the component still read 0
-    for members in _tarjan_sccs(start, providers):
-        top = 0
-        for v in members:
-            for j in providers[start[v] : start[v + 1]]:
-                if level[j] > top:
-                    top = level[j]
-        for v in members:
-            level[v] = top + 1
-        if len(members) > 1:
-            members.sort()
-            coupled[members[0]] = members
-            for v in members:
-                first[v] = members[0]
+    rows, cols, _ = dsm.marks
+    succ: list[list[int]] = [[] for _ in range(n)]  # provider -> consumers
+    for i, j in zip(rows, cols):
+        succ[j].append(i)
 
-    # each component lands at its first member's turn in manifest order
-    by_level: list[list[int]] = [[] for _ in range(max(level, default=0))]
-    for v in range(n):
-        if first[v] == v:
-            group = coupled.get(v)
-            if group is None:
-                by_level[level[v] - 1].append(v)
-            else:
-                by_level[level[v] - 1].extend(group)
-    order = tuple(v for members in by_level for v in members)
+    # Tarjan emits a component only after every component it reaches, so the
+    # reversed list puts each provider component before its consumers
+    components = _tarjan_sccs(succ)[::-1]
+    comp_of = [0] * n
+    for comp_index, members in enumerate(components):
+        for v in members:
+            comp_of[v] = comp_index
+
+    # longest-path leveling over the condensation, in that topological order
+    level = [1] * len(components)
+    for c, members in enumerate(components):
+        next_level = level[c] + 1
+        for v in members:
+            for w in succ[v]:
+                d = comp_of[w]
+                if d != c and level[d] < next_level:
+                    level[d] = next_level
+
+    by_level: dict[int, list[list[int]]] = {}
+    for c, members in enumerate(components):
+        by_level.setdefault(level[c], []).append(sorted(members))  # manifest order inside
+
+    levels: list[tuple[str, ...]] = []
+    flat: list[int] = []
+    cycles: list[tuple[str, ...]] = []
+    for lvl in sorted(by_level):
+        level_indices: list[int] = []
+        for members in sorted(by_level[lvl]):  # disjoint sorted lists: by first member
+            level_indices.extend(members)
+            if len(members) >= 2:
+                cycles.append(tuple(dsm.element_ids[v] for v in members))
+        levels.append(tuple(dsm.element_ids[v] for v in level_indices))
+        flat.extend(level_indices)
+
     return SequencingResult(
-        element_ids=ids,
-        levels=tuple(tuple(map(ids.__getitem__, members)) for members in by_level),
-        order=Permutation(order),
-        cycles=tuple(tuple(map(ids.__getitem__, coupled[v])) for v in order if v in coupled),
+        element_ids=dsm.element_ids,
+        levels=tuple(levels),
+        order=Permutation(tuple(flat)),
+        cycles=tuple(cycles),
     )

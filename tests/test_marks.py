@@ -56,7 +56,7 @@ from dsmplan.errors import (
 )
 from dsmplan.manifest import ConversationElement, ConversationModel, check_references
 from dsmplan.planning import BudgetConfig, make_pieces, plan_conversation
-from dsmplan.sequencing import SequencingResult, reachability, sequence
+from dsmplan.sequencing import SequencingResult, _tarjan_sccs, reachability, sequence
 from test_sequencing import bitsets
 
 # ---------------------------------------------------------------------------
@@ -84,11 +84,11 @@ def dense_neighbours(weights: np.ndarray) -> list[list[tuple[int, int]]]:
 
 def dense_sequence(d: Dsm) -> SequencingResult:
     n = d.n
+    succ: list[list[int]] = [[] for _ in range(n)]
     consumers, providers = np.nonzero(d.weights)
-    # components as classes of mutual reachability in the dense closure
-    reach = dense_reachability(d.weights)
-    mutual = reach & reach.T
-    components = list({tuple(np.flatnonzero(mutual[v]).tolist()): None for v in range(n)})
+    for i, j in zip(consumers.tolist(), providers.tolist()):
+        succ[j].append(i)
+    components = _tarjan_sccs(succ)
     comp_of = [0] * n
     for comp_index, members in enumerate(components):
         for v in members:
