@@ -28,9 +28,9 @@ order, so a seed gives the same plans across versions.  Those draws are the
 one use of numpy here: a chain imports it for its generator, and everything
 else — scoring, bookkeeping, the brute force — works on lists of ints.
 
-Cost.  A proposal costs O(deg(e) + log n): the target is found by bisection
-in sorted lists of active and free labels, and the interaction delta is a scan
-of ``e``'s neighbours.  Only a move that empties a cluster or opens one edits
+Cost.  A proposal costs O(deg(e)): the target is read by index from sorted
+lists of active and free labels, and the interaction delta is a scan of
+``e``'s neighbours.  Only a move that empties a cluster or opens one edits
 those lists, in O(n).
 """
 
@@ -63,6 +63,10 @@ class ClusterParams:
     iterations_per_restart: int = 2000
 
     def __post_init__(self) -> None:
+        for name in ("seed", "restarts", "iterations_per_restart"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
@@ -152,9 +156,22 @@ def clustering_cost(
         raise IncompleteAssignment(missing)
     labels = [assignment[e] for e in dsm.element_ids]
     tok = _token_vector(dsm, token_counts, params) if params.size_mode == SIZE_MODE_TOKENS else None
+    return _score(dsm, labels, params, tok)[0]
+
+
+def _score(
+    dsm: Dsm, labels: Sequence[int], params: ClusterParams, tok: Sequence[int] | None
+) -> tuple[float, float, int]:
+    """J, its raw size term and its raw interaction term for a label vector.
+
+    None of the three depends on the label names: the token-mode size sums
+    run over clusters in order of first appearance, the order that
+    :func:`_canonical` numbers them in, so raw and canonical labels give the
+    same floats.
+    """
     size_sq = _size_sq(labels, params, tok)
     interaction = _interaction(dsm, labels)
-    return params.alpha * size_sq + params.beta * interaction
+    return params.alpha * size_sq + params.beta * interaction, size_sq, interaction
 
 
 def _canonical(labels: Sequence[int]) -> tuple[list[int], int]:
@@ -207,6 +224,7 @@ def _anneal_chain(
         labels = list(range(n))  # singletons are always cap-feasible here
     size_sq = _size_sq(labels, params, tok)
     tokens = tok if tok is not None else [0] * n
+    limit = math.inf if cap is None else cap
     count = [0] * n
     toksum = [0] * n
     for pos, label in enumerate(labels):
@@ -214,15 +232,18 @@ def _anneal_chain(
         toksum[label] += tokens[pos]
     mean_tok = _mean_tokens(params, tok)  # 0.0: clusters are sized by count
 
-    # exact integer interaction bookkeeping: I0 = total - intra
+    # exact integer interaction bookkeeping: I0 = total - intra, and a
+    # capped chain starts from singletons, which hold no intra weight
     intra = 0
-    for pos, row in enumerate(nbrs):
-        for other, w in row:
-            if other < pos and labels[other] == labels[pos]:
-                intra += w
+    if cap is None:
+        for pos, row in enumerate(nbrs):
+            for other, w in row:
+                if other < pos and labels[other] == labels[pos]:
+                    intra += w
     interaction = total - intra
 
-    current_j = params.alpha * size_sq + params.beta * interaction
+    alpha, beta, exp = params.alpha, params.beta, math.exp
+    current_j = alpha * size_sq + beta * interaction
     best_j = current_j
     best_labels = labels.copy()
 
@@ -238,23 +259,27 @@ def _anneal_chain(
 
     active = sorted(set(labels))
     free = sorted(set(range(n)).difference(active))
+    num_active = len(active)
 
-    for it in range(iters):
+    for e, u, a in zip(picks, target_u, accept_u):
         temperature *= cool
-        e = picks[it]
         source = labels[e]
         # targets: active labels ascending without the source, then free[0]
-        # when the source keeps other members (so at most n-1 are active)
-        others = len(active) - 1
+        # when the source keeps other members (so at most n-1 are active);
+        # active holds the source, so active[k] is the k-th target while it
+        # sits below the source, and active[k + 1] from the source on
+        others = num_active - 1
         num_targets = others + (count[source] > 1)
         if not num_targets:
             continue
-        k = int(target_u[it] * num_targets)
+        k = int(u * num_targets)
         if k < others:
-            target = active[k + (k >= bisect_left(active, source))]
+            target = active[k]
+            if target >= source:
+                target = active[k + 1]
         else:
             target = free[0]
-        if cap is not None and toksum[target] + tokens[e] > cap:
+        if toksum[target] + tokens[e] > limit:
             continue  # infinite penalty: never even propose acceptance
 
         # the zero diagonal keeps e itself out of its neighbour list
@@ -272,9 +297,9 @@ def _anneal_chain(
             s_src = toksum[source] / mean_tok
             s_tgt = toksum[target] / mean_tok
             d_size = 2.0 * te * (s_tgt - s_src + te)
-        delta = params.alpha * d_size + params.beta * d_interaction
+        delta = alpha * d_size + beta * d_interaction
 
-        if delta > 0 and accept_u[it] >= math.exp(-delta / temperature):
+        if delta > 0 and a >= exp(-delta / temperature):
             continue
 
         labels[e] = target
@@ -285,12 +310,14 @@ def _anneal_chain(
         if count[target] == 1:
             del free[0]
             insort(active, target)
+            num_active += 1
         if count[source] == 0:
             del active[bisect_left(active, source)]
             insort(free, source)
+            num_active -= 1
         interaction += d_interaction
         size_sq += d_size
-        current_j = params.alpha * size_sq + params.beta * interaction
+        current_j = alpha * size_sq + beta * interaction
         if current_j < best_j:
             best_j = current_j
             best_labels = labels.copy()
@@ -303,12 +330,11 @@ def _finalize(
 ) -> ClusterAssignment:
     canon, num_clusters = _canonical(labels)
     cluster_of = dict(zip(dsm.element_ids, canon))
-    size_sq = _size_sq(canon, params, tok)
-    interaction = _interaction(dsm, canon)
+    j_total, size_sq, interaction = _score(dsm, canon, params, tok)
     return ClusterAssignment(
         cluster_of=cluster_of,
         num_clusters=num_clusters,
-        j_total=params.alpha * size_sq + params.beta * interaction,
+        j_total=j_total,
         j_size_term=size_sq,
         j_interaction_term=float(interaction),
     )
@@ -337,7 +363,10 @@ def cluster(
 
     Deterministic for fixed (matrix, params, token_counts).  The returned
     cost is never above the all-singletons or one-big-cluster assignment
-    (whenever those respect ``max_cluster_tokens``).
+    (whenever those respect ``max_cluster_tokens``).  Every chain's result
+    is scored by direct summation on its raw labels and drift-checked
+    against the chain's tracked J; only the winner is relabelled into a
+    :class:`ClusterAssignment`.
     """
     params = params or ClusterParams()
     n = dsm.n
@@ -353,16 +382,17 @@ def cluster(
 
     nbrs = _neighbours(dsm)
     total = sum(dsm.marks[2])
-    scored: list[ClusterAssignment] = []
+    scored: list[tuple[float, Sequence[int]]] = []  # (J, labels) per candidate
     for chain in range(params.restarts):
         labels, tracked_j = _anneal_chain(nbrs, total, params, tok, chain)
-        scored.append(_finalize(dsm, labels, params, tok))
-        _check_tracked(tracked_j, scored[-1].j_total, params, tok)
-    scored.append(_finalize(dsm, range(n), params, tok))  # all singletons
+        scored.append((_score(dsm, labels, params, tok)[0], labels))
+        _check_tracked(tracked_j, scored[-1][0], params, tok)
+    scored.append((_score(dsm, range(n), params, tok)[0], range(n)))  # all singletons
     one_cluster = [0] * n
     if _cap_ok(one_cluster, tok, cap):
-        scored.append(_finalize(dsm, one_cluster, params, tok))
-    return min(scored, key=lambda a: a.j_total)  # first minimum: ties go to the earlier candidate
+        scored.append((_score(dsm, one_cluster, params, tok)[0], one_cluster))
+    # first minimum: ties go to the earlier candidate
+    return _finalize(dsm, min(scored, key=lambda candidate: candidate[0])[1], params, tok)
 
 
 def assignment_from_groups(
@@ -434,7 +464,7 @@ def brute_force_cluster(
     for labels in _growth_strings(n):
         if not _cap_ok(labels, tok, cap):
             continue
-        j = params.alpha * _size_sq(labels, params, tok) + params.beta * _interaction(dsm, labels)
+        j = _score(dsm, labels, params, tok)[0]
         if j < best_j:
             best_j = j
             best_labels = labels

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import random
 import string
 
 import numpy as np
@@ -305,7 +308,9 @@ def reference_cluster(d, params, token_counts):
 
 @st.composite
 def anneal_case(draw):
-    n = draw(st.integers(min_value=1, max_value=40))
+    # n of 2 or 3 half the time: with few labels, a move's source often sits
+    # at either end of the active ones
+    n = draw(st.integers(min_value=2, max_value=3) | st.integers(min_value=1, max_value=40))
     density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     w = np.where(rng.random((n, n)) < density, rng.integers(1, 60, size=(n, n)), 0)
@@ -326,13 +331,56 @@ def anneal_case(draw):
 
 
 @given(anneal_case())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_search_replays_reference_chain(case):
     d, params, counts = case
+    assert cluster(d, params, token_counts=counts) == reference_cluster(d, params, counts)
+
+
+def pin_dsm(n: int = 300, seed: str = "cluster-pin") -> tuple[Dsm, dict[str, int]]:
+    """A numerical DSM shaped like the benchmark's anneal-300 manifests:
+    element k depends on up to 4 of the 40 before it, every 20th one also on
+    one up to 3 ahead, which depends back; a mark weighs its provider's tokens."""
+    rng = random.Random(seed)
+    tokens = [min(1500, max(10, round(rng.lognormvariate(math.log(120), 0.5)))) for _ in range(n)]
+    w = np.zeros((n, n), dtype=np.int64)
+    for k in range(n):
+        first = max(0, k - 40)
+        for j in rng.sample(range(first, k), min(k - first, rng.randint(0, 4))):
+            w[k, j] = tokens[j]
+        if k % 20 == 7 and k + 3 < n:
+            ahead = k + rng.randint(1, 3)
+            w[k, ahead] = tokens[ahead]
+            w[ahead, k] = tokens[k]
+    ids = tuple(f"e{k:03d}" for k in range(n))
+    return Dsm(ids, w), dict(zip(ids, tokens))
+
+
+# the default 32 x 2000 search on pin_dsm(), whose chains open and empty
+# clusters thousands of times; digests of cluster_of and the three J numbers
+PINNED_SEARCHES = {
+    "capped count": (
+        ClusterParams(max_cluster_tokens=2000),  # the plan path: capped, sized by count
+        "ca48affe90117a1290fc92dc171c9d6c6a3c76effb4ab2fe0c0525e822702e26",
+    ),
+    "uncapped count": (
+        ClusterParams(),
+        "ab0b7dc9befcf63d15090a5e03639b15160b6f238e3a280a533b5db780c21d3f",
+    ),
+    "tokens": (
+        ClusterParams(size_mode="tokens"),
+        "365147bc1247e7a36bbc649df5e307e7f7d0c51035358d84816864599daad734",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SEARCHES)
+def test_default_search_at_300_is_pinned(name):
+    params, digest = PINNED_SEARCHES[name]
+    d, counts = pin_dsm()
     got = cluster(d, params, token_counts=counts)
-    want = reference_cluster(d, params, counts)
-    assert got.cluster_of == want.cluster_of
-    assert got.j_total == want.j_total
+    outputs = [got.cluster_of, got.j_total, got.j_size_term, got.j_interaction_term]
+    assert hashlib.sha256(json.dumps(outputs).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -454,6 +502,19 @@ def test_params_validation():
         ClusterParams(max_cluster_tokens=0)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         ClusterParams(seed=-1)
+    # bool is an int subclass, but no count or seed
+    for field, value in [
+        ("restarts", 2.5),
+        ("restarts", True),
+        ("iterations_per_restart", 10.5),
+        ("iterations_per_restart", True),
+        ("iterations_per_restart", "10"),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", None),
+    ]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ClusterParams(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
