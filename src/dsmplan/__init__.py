@@ -21,9 +21,7 @@ _EXPORTS = {
         "ClusterAssignment",
         "ClusterParams",
         "assignment_from_groups",
-        "brute_force_cluster",
         "cluster",
-        "clustering_cost",
     ),
     "dsm": (
         "BINARY",

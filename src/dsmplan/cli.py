@@ -496,6 +496,8 @@ def cmd_budget(settings: dict[str, Any]) -> int:
         return cmd_plan(settings)
     if settings["manifest"]:
         raise ParseError("--fm budgets the literal figures given and reads no manifest; drop --manifest")
+    if settings["fm_ratio"] != 1:
+        raise ParseError("--fm takes FM figures as given, so --fm-ratio (fm_ratio in a config) must be 1")
     try:
         fm_values = [int(v) for v in settings["fm"].split(",") if v.strip() != ""]
     except ValueError:

@@ -26,7 +26,7 @@ lowest free label when ``source`` has other members, and it takes target
 ``int(u * len(targets))``.  Faster bookkeeping must keep this rule and draw
 order, so a seed gives the same plans across versions.  Those draws are the
 one use of numpy here: a chain imports it for its generator, and everything
-else — scoring, bookkeeping, the brute force — works on lists of ints.
+else — scoring and bookkeeping — works on lists of ints.
 
 Cost.  A proposal costs O(deg(e)): the target is read by index from sorted
 lists of active and free labels, and the interaction delta is a scan of
@@ -40,15 +40,14 @@ import math
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dsm import Dsm
-from .errors import EmptyMatrix, IncompleteAssignment, TooLarge
+from .errors import EmptyMatrix, IncompleteAssignment
 
 SIZE_MODE_COUNT = "count"
 SIZE_MODE_TOKENS = "tokens"
 
-_BRUTE_FORCE_LIMIT = 10
 _COOL_RATIO = 1e-3  # final temperature as a fraction of the initial one
 
 
@@ -109,7 +108,11 @@ def _token_vector(
     missing = [e for e in dsm.element_ids if e not in token_counts]
     if missing:
         raise IncompleteAssignment(tuple(missing))
-    return [token_counts[e] for e in dsm.element_ids]
+    tok = [token_counts[e] for e in dsm.element_ids]
+    if min(tok, default=0) < 0:
+        worst = dsm.element_ids[tok.index(min(tok))]
+        raise ValueError(f"element {worst!r} has a negative token count")
+    return tok
 
 
 def _mean_tokens(params: ClusterParams, tok: Sequence[int] | None) -> float:
@@ -139,26 +142,6 @@ def _interaction(dsm: Dsm, labels: Sequence[int]) -> int:
     return sum(val for row, col, val in zip(rows, cols, vals) if labels[row] != labels[col])
 
 
-def clustering_cost(
-    dsm: Dsm,
-    assignment: Mapping[str, int],
-    params: ClusterParams,
-    token_counts: Mapping[str, int] | None = None,
-) -> float:
-    """Direct-summation cost of a complete assignment (no incremental state).
-
-    This is the ground-truth scorer: the annealer's bookkeeping is always
-    re-checked against this direct summation before a result is returned,
-    and a drifted chain raises ``RuntimeError``.
-    """
-    missing = tuple(e for e in dsm.element_ids if e not in assignment)
-    if missing:
-        raise IncompleteAssignment(missing)
-    labels = [assignment[e] for e in dsm.element_ids]
-    tok = _token_vector(dsm, token_counts, params) if params.size_mode == SIZE_MODE_TOKENS else None
-    return _score(dsm, labels, params, tok)[0]
-
-
 def _score(
     dsm: Dsm, labels: Sequence[int], params: ClusterParams, tok: Sequence[int] | None
 ) -> tuple[float, float, int]:
@@ -179,17 +162,6 @@ def _canonical(labels: Sequence[int]) -> tuple[list[int], int]:
     mapping: dict[int, int] = {}
     canon = [mapping.setdefault(label, len(mapping)) for label in labels]
     return canon, len(mapping)
-
-
-def _cap_ok(labels: Sequence[int], tok: Sequence[int] | None, cap: int | None) -> bool:
-    if cap is None:
-        return True
-    sums: dict[int, int] = {}
-    for pos, label in enumerate(labels):
-        sums[label] = sums.get(label, 0) + tok[pos]  # type: ignore[index]
-        if sums[label] > cap:
-            return False
-    return True
 
 
 def _neighbours(dsm: Dsm) -> list[list[tuple[int, int]]]:
@@ -266,13 +238,11 @@ def _anneal_chain(
         source = labels[e]
         # targets: active labels ascending without the source, then free[0]
         # when the source keeps other members (so at most n-1 are active);
+        # with n >= 2 there is always one: a lone active label holds all n.
         # active holds the source, so active[k] is the k-th target while it
         # sits below the source, and active[k + 1] from the source on
         others = num_active - 1
-        num_targets = others + (count[source] > 1)
-        if not num_targets:
-            continue
-        k = int(u * num_targets)
+        k = int(u * (others + (count[source] > 1)))
         if k < others:
             target = active[k]
             if target >= source:
@@ -388,9 +358,8 @@ def cluster(
         scored.append((_score(dsm, labels, params, tok)[0], labels))
         _check_tracked(tracked_j, scored[-1][0], params, tok)
     scored.append((_score(dsm, range(n), params, tok)[0], range(n)))  # all singletons
-    one_cluster = [0] * n
-    if _cap_ok(one_cluster, tok, cap):
-        scored.append((_score(dsm, one_cluster, params, tok)[0], one_cluster))
+    if cap is None or sum(tok) <= cap:  # type: ignore[arg-type]
+        scored.append((_score(dsm, [0] * n, params, tok)[0], [0] * n))
     # first minimum: ties go to the earlier candidate
     return _finalize(dsm, min(scored, key=lambda candidate: candidate[0])[1], params, tok)
 
@@ -421,53 +390,3 @@ def assignment_from_groups(
         raise IncompleteAssignment(missing)
     tok = _token_vector(dsm, token_counts, params)
     return _finalize(dsm, [flat[e] for e in dsm.element_ids], params, tok)
-
-
-def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All canonical assignment vectors of length n, in lexicographic order."""
-    if n == 0:
-        return
-    vector = [0] * n
-
-    def extend(pos: int, max_label: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(vector)
-            return
-        for label in range(max_label + 2):
-            vector[pos] = label
-            yield from extend(pos + 1, max(max_label, label))
-
-    yield from extend(1, 0)
-
-
-def brute_force_cluster(
-    dsm: Dsm,
-    params: ClusterParams | None = None,
-    token_counts: Mapping[str, int] | None = None,
-) -> ClusterAssignment:
-    """Exhaustive global optimum over all set partitions (n <= 10 guard).
-
-    Ties resolve to the lexicographically smallest canonical assignment
-    vector, which is the first one the enumeration visits.
-    """
-    params = params or ClusterParams()
-    n = dsm.n
-    if n == 0:
-        raise EmptyMatrix()
-    if n > _BRUTE_FORCE_LIMIT:
-        raise TooLarge(n, _BRUTE_FORCE_LIMIT)
-    tok = _token_vector(dsm, token_counts, params)
-    cap = params.max_cluster_tokens
-
-    best_labels: tuple[int, ...] | None = None
-    best_j = math.inf
-    for labels in _growth_strings(n):
-        if not _cap_ok(labels, tok, cap):
-            continue
-        j = _score(dsm, labels, params, tok)[0]
-        if j < best_j:
-            best_j = j
-            best_labels = labels
-    if best_labels is None:
-        raise ValueError("no assignment satisfies max_cluster_tokens")
-    return _finalize(dsm, best_labels, params, tok)

@@ -82,12 +82,6 @@ class EmptyMatrix(DsmPlanError):
         super().__init__("cannot cluster an empty matrix")
 
 
-class TooLarge(DsmPlanError):
-    def __init__(self, n: int, limit: int = 10):
-        self.n = n
-        super().__init__(f"exhaustive clustering limited to {limit} elements, got {n}")
-
-
 class UnsplittablePiece(DsmPlanError):
     def __init__(self, element_id: str):
         self.element_id = element_id

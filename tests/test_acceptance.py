@@ -17,7 +17,6 @@ from dsmplan import (
     ClusterParams,
     Dsm,
     assignment_from_groups,
-    brute_force_cluster,
     budget_report,
     cluster,
     literal_plan,
@@ -28,6 +27,7 @@ from dsmplan import (
 from dsmplan.data import SPACECRAFT_MANIFEST
 
 from conftest import REFERENCE_GROUPS
+from oracles import brute_force_cluster
 from test_sequencing import bitsets, closure_by_dfs, mutual_groups
 
 

@@ -12,19 +12,17 @@ from hypothesis import strategies as st
 from dsmplan import clustering
 from dsmplan.clustering import (
     ClusterParams,
-    brute_force_cluster,
+    assignment_from_groups,
     cluster,
-    clustering_cost,
     _canonical,
-    _cap_ok,
     _finalize,
-    _growth_strings,
     _mean_tokens,
     _size_sq,
     _token_vector,
 )
 from dsmplan.dsm import Dsm
-from dsmplan.errors import EmptyMatrix, IncompleteAssignment, TooLarge
+from dsmplan.errors import EmptyMatrix, IncompleteAssignment
+from oracles import brute_force_cluster, cap_ok, growth_strings
 
 # the reference partition shipped with the spacecraft corpus:
 # two coupled blocks plus three standalone elements
@@ -43,6 +41,14 @@ REFERENCE_ASSIGNMENT = {
     "K": 3,
     "M": 4,
 }
+
+
+def grouped_cost(d: Dsm, assignment, params, token_counts=None) -> float:
+    """J of a label mapping, grouped and scored by ``assignment_from_groups``."""
+    groups: dict[int, list[str]] = {}
+    for e, label in assignment.items():
+        groups.setdefault(label, []).append(e)
+    return assignment_from_groups(d, groups.values(), params, token_counts).j_total
 
 
 def cost_oracle(d: Dsm, assignment, alpha=2.0, beta=1.0) -> float:
@@ -79,7 +85,7 @@ def small_dsm(draw, max_n=6):
 def test_reference_partition_cost_matches_frozen(spacecraft_dsm, expected):
     want = expected["reference_clusters"]
     params = ClusterParams()
-    j = clustering_cost(spacecraft_dsm, REFERENCE_ASSIGNMENT, params)
+    j = grouped_cost(spacecraft_dsm, REFERENCE_ASSIGNMENT, params)
     assert j == want["j_total"]
     assert cost_oracle(spacecraft_dsm, REFERENCE_ASSIGNMENT) == want["j_total"]
     # and the recorded split of that figure
@@ -99,12 +105,12 @@ def test_reference_partition_groups_match_frozen(expected):
 def test_cost_matches_oracle_on_random_assignments(d, data):
     assignment = {e: data.draw(st.integers(min_value=0, max_value=d.n - 1)) for e in d.element_ids}
     params = ClusterParams()
-    assert clustering_cost(d, assignment, params) == cost_oracle(d, assignment)
+    assert grouped_cost(d, assignment, params) == cost_oracle(d, assignment)
 
 
 def test_cost_requires_complete_assignment(spacecraft_dsm):
     with pytest.raises(IncompleteAssignment) as err:
-        clustering_cost(spacecraft_dsm, {"A": 0}, ClusterParams())
+        grouped_cost(spacecraft_dsm, {"A": 0}, ClusterParams())
     assert "B" in str(err.value)
 
 
@@ -113,8 +119,8 @@ def test_token_mode_agrees_with_count_mode_on_uniform_corpus():
     d = Dsm(("a", "b", "c"), w)
     assignment = {"a": 0, "b": 0, "c": 1}
     uniform = {"a": 7, "b": 7, "c": 7}
-    by_count = clustering_cost(d, assignment, ClusterParams(size_mode="count"))
-    by_tokens = clustering_cost(d, assignment, ClusterParams(size_mode="tokens"), uniform)
+    by_count = grouped_cost(d, assignment, ClusterParams(size_mode="count"))
+    by_tokens = grouped_cost(d, assignment, ClusterParams(size_mode="tokens"), uniform)
     assert by_count == pytest.approx(by_tokens)
 
 
@@ -125,8 +131,8 @@ def test_token_mode_is_scale_invariant():
     params = ClusterParams(size_mode="tokens")
     base = {"a": 10, "b": 30, "c": 20}
     scaled = {k: v * 17 for k, v in base.items()}
-    assert clustering_cost(d, assignment, params, base) == pytest.approx(
-        clustering_cost(d, assignment, params, scaled)
+    assert grouped_cost(d, assignment, params, base) == pytest.approx(
+        grouped_cost(d, assignment, params, scaled)
     )
 
 
@@ -138,8 +144,8 @@ def test_token_mode_is_scale_invariant():
 def test_search_beats_reference_and_baselines(spacecraft_dsm, expected):
     params = ClusterParams()
     result = cluster(spacecraft_dsm, params)
-    singletons = clustering_cost(spacecraft_dsm, {e: k for k, e in enumerate(spacecraft_dsm.element_ids)}, params)
-    one_big = clustering_cost(spacecraft_dsm, {e: 0 for e in spacecraft_dsm.element_ids}, params)
+    singletons = grouped_cost(spacecraft_dsm, {e: k for k, e in enumerate(spacecraft_dsm.element_ids)}, params)
+    one_big = grouped_cost(spacecraft_dsm, {e: 0 for e in spacecraft_dsm.element_ids}, params)
     assert result.j_total <= expected["reference_clusters"]["j_total"]
     assert result.j_total <= min(singletons, one_big)
     # returned terms recombine into the total
@@ -207,12 +213,12 @@ def test_search_bracketed_by_brute_force_and_baselines(d):
     params = ClusterParams(restarts=6, iterations_per_restart=400)
     result = cluster(d, params)
     exact = brute_force_cluster(d, params)
-    singletons = clustering_cost(d, {e: k for k, e in enumerate(d.element_ids)}, params)
-    one_big = clustering_cost(d, {e: 0 for e in d.element_ids}, params)
+    singletons = grouped_cost(d, {e: k for k, e in enumerate(d.element_ids)}, params)
+    one_big = grouped_cost(d, {e: 0 for e in d.element_ids}, params)
     assert exact.j_total <= result.j_total + 1e-9
     assert result.j_total <= min(singletons, one_big) + 1e-9
     # reported costs are real: recompute from the returned assignment
-    assert result.j_total == pytest.approx(clustering_cost(d, result.cluster_of, params))
+    assert result.j_total == pytest.approx(grouped_cost(d, result.cluster_of, params))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +306,7 @@ def reference_cluster(d, params, token_counts):
     sym = d.weights + d.weights.T
     candidates = [reference_chain(sym, params, tok, chain) for chain in range(params.restarts)]
     candidates.append(np.arange(d.n, dtype=np.int64))
-    if _cap_ok(np.zeros(d.n, dtype=np.int64), tok, params.max_cluster_tokens):
+    if cap_ok(np.zeros(d.n, dtype=np.int64), tok, params.max_cluster_tokens):
         candidates.append(np.zeros(d.n, dtype=np.int64))
     scored = [_finalize(d, labels, params, tok) for labels in candidates]
     return min(scored, key=lambda a: a.j_total)
@@ -417,7 +423,7 @@ def test_zero_token_corpus_is_sized_by_count(monkeypatch, spacecraft_dsm):
     by_tokens = ClusterParams(size_mode="tokens", restarts=4, iterations_per_restart=500)
     want = cluster(spacecraft_dsm, by_count)
     assert cluster(spacecraft_dsm, by_tokens, token_counts=zeros) == want
-    assert clustering_cost(spacecraft_dsm, want.cluster_of, by_tokens, zeros) == want.j_total
+    assert grouped_cost(spacecraft_dsm, want.cluster_of, by_tokens, zeros) == want.j_total
     # the drift check runs on this corpus too
     real_chain = clustering._anneal_chain
     monkeypatch.setattr(clustering, "_anneal_chain", lambda *args: (real_chain(*args)[0], -1.0))
@@ -456,6 +462,17 @@ def test_cap_needs_token_counts():
     d = Dsm(("a", "b"), np.zeros((2, 2), dtype=int))
     with pytest.raises(ValueError):
         cluster(d, ClusterParams(max_cluster_tokens=5))
+    # the counts must cover every element and none may be negative, for the
+    # search and the scorer alike
+    d = Dsm(("a", "b", "c"), np.zeros((3, 3), dtype=int))
+    params = ClusterParams(max_cluster_tokens=10)
+    with pytest.raises(IncompleteAssignment, match="c"):
+        cluster(d, params, token_counts={"a": 8, "b": 5})
+    negative = {"a": 8, "b": 5, "c": -6}
+    with pytest.raises(ValueError, match="element 'c' has a negative token count"):
+        cluster(d, params, token_counts=negative)
+    with pytest.raises(ValueError, match="element 'c' has a negative token count"):
+        assignment_from_groups(d, [["a", "b", "c"]], params, negative)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +481,7 @@ def test_cap_needs_token_counts():
 
 
 def test_growth_strings_enumerate_all_partitions():
-    assert list(_growth_strings(3)) == [
+    assert list(growth_strings(3)) == [
         (0, 0, 0),
         (0, 0, 1),
         (0, 1, 0),
@@ -473,13 +490,7 @@ def test_growth_strings_enumerate_all_partitions():
     ]
     bell = [1, 2, 5, 15, 52, 203]  # partition counts for n = 1..6
     for n, count in enumerate(bell, start=1):
-        assert sum(1 for _ in _growth_strings(n)) == count
-
-
-def test_brute_force_guard():
-    d = Dsm(tuple(string.ascii_lowercase[:11]), np.zeros((11, 11), dtype=int))
-    with pytest.raises(TooLarge):
-        brute_force_cluster(d)
+        assert sum(1 for _ in growth_strings(n)) == count
 
 
 def test_brute_force_honors_cap():

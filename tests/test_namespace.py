@@ -14,16 +14,16 @@ import pytest
 import dsmplan
 from dsmplan import simulator
 
-# the names the eagerly importing package exported, as it listed them
+# every public name of the package
 PUBLIC = [
     "BINARY", "NUMERICAL", "BudgetConfig", "ClusterAssignment", "ClusterParams", "ConversationElement",
-    "ConversationModel", "ConversationPiece", "ConversationPlan", "Dsm", "LossCurve", "MetricDelta", "ModelSpec",
-    "Permutation", "PieceBudget", "SequencingResult", "SimulationReport", "SimulationStep", "TokenBudgetReport",
-    "above_diagonal_marks", "assignment_from_groups", "brute_force_cluster", "budget_report", "build_dsm",
-    "cluster", "clustering_cost", "compare", "count_tokens_approx", "default_model_catalog", "errors",
-    "find_model", "literal_plan", "load_model_catalog", "load_token_table", "loss_curve", "make_naive_plan",
-    "make_pieces", "max_piece_tokens", "output_budget", "parse_dsm_csv", "parse_manifest", "permute",
-    "plan_conversation", "reachability", "sequence", "simulate", "to_binary", "window_budget", "write_dsm_csv",
+    "ConversationModel", "ConversationPiece", "ConversationPlan", "Dsm", "LossCurve", "MetricDelta",
+    "ModelSpec", "Permutation", "PieceBudget", "SequencingResult", "SimulationReport", "SimulationStep",
+    "TokenBudgetReport", "above_diagonal_marks", "assignment_from_groups", "budget_report", "build_dsm",
+    "cluster", "compare", "count_tokens_approx", "default_model_catalog", "errors", "find_model",
+    "literal_plan", "load_model_catalog", "load_token_table", "loss_curve", "make_naive_plan", "make_pieces",
+    "max_piece_tokens", "output_budget", "parse_dsm_csv", "parse_manifest", "permute", "plan_conversation",
+    "reachability", "sequence", "simulate", "to_binary", "window_budget", "write_dsm_csv",
 ]  # fmt: skip
 
 
