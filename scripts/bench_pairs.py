@@ -26,6 +26,9 @@ count for neither), and a verdict:
 
 A workload's ``failed`` share is compared the same way: more failed
 operations at the change is ``worse``.
+
+Stopped by SIGTERM or Ctrl-C, it ends the running benchmark and every process
+that one started, and removes the exported directories, before it exits.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import datetime
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -133,11 +137,27 @@ def export(repo: Path, sha: str, directory: Path) -> Path:
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run in ``checkout``; its last stdout line, parsed."""
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, check=True, capture_output=True, text=True,
-    )  # fmt: skip
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    # a session of its own, so the run and every process it starts share one
+    # process group that can be ended together
+    with subprocess.Popen(
+        argv, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True
+    ) as child:
+        try:
+            stdout, stderr = child.communicate()
+        except BaseException:
+            if child.returncode is None:  # not reaped, so the group id is still the child's
+                os.killpg(child.pid, signal.SIGKILL)
+            raise
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, argv, stdout, stderr)
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def _exit_on_sigterm(signum: int, frame: object) -> None:
+    """SIGTERM as SystemExit, so the running benchmark is ended and the
+    exported directories are removed on the way out."""
+    raise SystemExit(128 + signum)
 
 
 def machine() -> dict:
@@ -160,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
 
     repo = Path(_git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
     parent, change = (_git(repo, "rev-parse", "--verify", f"{rev}^{{commit}}") for rev in (args.parent, args.change))

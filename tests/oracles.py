@@ -17,7 +17,7 @@ from dsmplan.dsm import Dsm
 from dsmplan.errors import EmptyMatrix
 
 
-def growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     """All canonical assignment vectors of length n, in lexicographic order."""
     if n == 0:
         return
@@ -34,7 +34,7 @@ def growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend(1, 0)
 
 
-def cap_ok(labels: Sequence[int], tok: Sequence[int] | None, cap: int | None) -> bool:
+def _cap_ok(labels: Sequence[int], tok: Sequence[int] | None, cap: int | None) -> bool:
     if cap is None:
         return True
     sums: dict[int, int] = {}
@@ -64,8 +64,8 @@ def brute_force_cluster(
 
     best_labels: tuple[int, ...] | None = None
     best_j = math.inf
-    for labels in growth_strings(n):
-        if not cap_ok(labels, tok, cap):
+    for labels in _growth_strings(n):
+        if not _cap_ok(labels, tok, cap):
             continue
         j = _score(dsm, labels, params, tok)[0]
         if j < best_j:

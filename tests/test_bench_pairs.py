@@ -1,6 +1,14 @@
-"""The paired runner's summary and verdicts, on canned ``bench/run.py`` result lines."""
+"""The paired runner's summary and verdicts, on canned ``bench/run.py`` result lines,
+and its clean-up when it is stopped."""
 
 import importlib.util
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,3 +97,64 @@ def test_summarize_reports_failures_and_unmeasured_metrics():
     assert summary["metrics"]["plan_s"] == {"verdict": "not measured"}
     assert summary["failed_share"] == {"parent": 0.0, "change": 2 / 80, "verdict": "worse"}
     assert not summary["all_correct"]
+
+
+# a benchmark that starts a sleeping helper, records both pids, and sleeps
+SLEEPING_RUN = """import os, subprocess, sys, time
+helper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
+with open(os.environ["BENCH_PIDS"], "w") as fh:
+    fh.write(f"{os.getpid()} {helper.pid}")
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    # an ended process that its new parent has not reaped yet is a zombie
+    return not (stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] == "Z")
+
+
+def test_sigterm_ends_the_running_benchmark_and_removes_the_exports(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+    (repo / "src").mkdir()
+    (repo / "scripts").mkdir()
+    shutil.copy(_PATH, repo / "scripts" / "bench_pairs.py")
+    benchmark = {"paths": ["bench"], "run_seconds": 1, "workloads": [{"name": "sleep"}], "end_to_end": []}
+    (repo / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    for version in ("parent", "change"):
+        (repo / "bench" / "run.py").write_text(f"# {version}\n{SLEEPING_RUN}", encoding="utf-8")
+        subprocess.run([*git, "add", "-A"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", version], check=True)
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    pids = tmp_path / "pids"
+    env = {**os.environ, "TMPDIR": str(tmp), "BENCH_PIDS": str(pids)}
+    argv = [sys.executable, str(repo / "scripts" / "bench_pairs.py"), "--parent", "HEAD~1", "--pairs", "1", "--seed", "1"]
+    runner = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pids.exists() and len(pids.read_text().split()) == 2):
+            assert runner.poll() is None and time.monotonic() < deadline, "the benchmark never started"
+            time.sleep(0.05)
+        assert [path.name for path in tmp.iterdir()][0].startswith("bench_pairs_")
+        runner.send_signal(signal.SIGTERM)
+        assert runner.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        if runner.poll() is None:
+            runner.kill()
+            runner.wait()
+    run_pid, helper_pid = map(int, pids.read_text().split())
+    deadline = time.monotonic() + 10
+    while _alive(helper_pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(run_pid)
+    assert not _alive(helper_pid)
+    assert list(tmp.iterdir()) == []

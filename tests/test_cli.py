@@ -222,6 +222,22 @@ def test_budget_bad_fm_list(capsys):
     code, _, err = run_cli(capsys, "budget", "--fm", "1,two,3")
     assert code == 2
     assert "comma-separated" in err
+    code, out, err = run_cli(capsys, "budget", "--fm", ",")
+    assert (code, out, err) == (2, "", "error: --fm needs at least one value\n")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_budget_fm_takes_fm_figures_unscaled(tmp_path, capsys, source):
+    # the literal figures are FM already; a ratio would go unapplied
+    if source == "flag":
+        extra = ("--fm-ratio", "2")
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"fm_ratio": 2}))
+        extra = ("--config", str(config))
+    code, out, err = run_cli(capsys, "budget", "--fm", "100,200", *extra)
+    assert (code, out) == (2, "")
+    assert err == "error: --fm takes FM figures as given, so --fm-ratio (fm_ratio in a config) must be 1\n"
 
 
 @pytest.mark.parametrize("manifest", [MANIFEST, "/nonexistent.json"])
@@ -229,6 +245,14 @@ def test_budget_fm_rejects_a_manifest(capsys, manifest):
     code, out, err = run_cli(capsys, "budget", "--manifest", manifest, "--fm", "100")
     assert (code, out) == (2, "")
     assert "--manifest" in err
+
+
+@pytest.mark.parametrize("command", ["cluster", "plan", "budget", "simulate"])
+def test_an_element_above_the_piece_cap_exits_one(capsys, command):
+    # OL 100 caps a piece's GM at 95 tokens, below element A's 190
+    code, out, err = run_cli(capsys, command, "--manifest", MANIFEST, "--ol", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: element 'A' alone exceeds the output budget and cannot be split\n"
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +342,18 @@ def test_config_values_are_checked(tmp_path, capsys, setting):
     code, out, err = run_cli(capsys, "plan", "--manifest", MANIFEST, "--config", str(config))
     assert (code, out) == (2, "")
     assert err.startswith("error: config ") and f"{next(iter(setting))} must be" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("[]", "root must be an object"), ('{"margin": 1' + "0" * 400 + "}", "margin is out of range")],
+    ids=["list-root", "huge-integer"],
+)
+def test_config_file_shape_is_checked(tmp_path, capsys, content, message):
+    config = tmp_path / "run.json"
+    config.write_text(content)
+    code, out, err = run_cli(capsys, "plan", "--manifest", MANIFEST, "--config", str(config))
+    assert (code, out, err) == (2, "", f"error: config {config}: {message}\n")
 
 
 @pytest.mark.parametrize(

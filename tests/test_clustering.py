@@ -22,7 +22,7 @@ from dsmplan.clustering import (
 )
 from dsmplan.dsm import Dsm
 from dsmplan.errors import EmptyMatrix, IncompleteAssignment
-from oracles import brute_force_cluster, cap_ok, growth_strings
+from oracles import brute_force_cluster, _cap_ok, _growth_strings
 
 # the reference partition shipped with the spacecraft corpus:
 # two coupled blocks plus three standalone elements
@@ -306,7 +306,7 @@ def reference_cluster(d, params, token_counts):
     sym = d.weights + d.weights.T
     candidates = [reference_chain(sym, params, tok, chain) for chain in range(params.restarts)]
     candidates.append(np.arange(d.n, dtype=np.int64))
-    if cap_ok(np.zeros(d.n, dtype=np.int64), tok, params.max_cluster_tokens):
+    if _cap_ok(np.zeros(d.n, dtype=np.int64), tok, params.max_cluster_tokens):
         candidates.append(np.zeros(d.n, dtype=np.int64))
     scored = [_finalize(d, labels, params, tok) for labels in candidates]
     return min(scored, key=lambda a: a.j_total)
@@ -481,7 +481,7 @@ def test_cap_needs_token_counts():
 
 
 def test_growth_strings_enumerate_all_partitions():
-    assert list(growth_strings(3)) == [
+    assert list(_growth_strings(3)) == [
         (0, 0, 0),
         (0, 0, 1),
         (0, 1, 0),
@@ -490,7 +490,7 @@ def test_growth_strings_enumerate_all_partitions():
     ]
     bell = [1, 2, 5, 15, 52, 203]  # partition counts for n = 1..6
     for n, count in enumerate(bell, start=1):
-        assert sum(1 for _ in growth_strings(n)) == count
+        assert sum(1 for _ in _growth_strings(n)) == count
 
 
 def test_brute_force_honors_cap():

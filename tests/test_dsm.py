@@ -100,6 +100,8 @@ def test_dsm_validation():
         Dsm(("a", "b"), np.array([[1, 0], [0, 0]]))
     with pytest.raises(ValueError):
         Dsm(("a", "b"), np.array([[0, 2], [0, 0]]), kind=BINARY)
+    with pytest.raises(ValueError, match="unknown matrix kind 'weighted'"):
+        Dsm(("a", "b"), np.zeros((2, 2), dtype=int), kind="weighted")
 
 
 INT64_MAX = 2**63 - 1
@@ -182,6 +184,8 @@ def test_csv_kind_inference():
         (",a,b\na,,-3\nb,,\n", NegativeWeight),
         (",a,b\na,2,\nb,,\n", NonzeroDiagonal),
         ("a,b\na,,1\nb,1,\n", ParseError),  # header must start empty
+        ("", ParseError),  # no header
+        (",a,b\na,,1\nb,1\n", NonSquare),  # short row
     ],
 )
 def test_csv_rejects_malformed(text, error):

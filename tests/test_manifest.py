@@ -138,6 +138,30 @@ def test_statement_text_is_counted(tmp_path):
         },
     )
     assert parse_manifest(path).user_statement_tokens == 5
+    # a statement or instruction block may also be an object with text
+    path = _write(
+        tmp_path,
+        {
+            "user_statement": {"text": "please design the whole thing"},
+            "instructions": {"text": "answer in one table"},
+            "elements": [{"id": "x", "label": "X", "tokens": 1}],
+        },
+    )
+    model = parse_manifest(path)
+    assert (model.user_statement_tokens, model.instruction_tokens) == (5, 4)
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([{"id": "x", "tokens": 1}], "^manifest root must be an object$"),
+        ({"elements": [{"id": "x", "label": 3, "tokens": 1}]}, "^element 'x': label must be a string$"),
+    ],
+    ids=["list-root", "number-label"],
+)
+def test_malformed_document_is_parse_error(tmp_path, document, message):
+    with pytest.raises(ParseError, match=message):
+        parse_manifest(_write(tmp_path, document))
 
 
 @pytest.mark.parametrize("key", ["user_statement", "instructions"])

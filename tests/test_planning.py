@@ -458,6 +458,18 @@ def test_catalog_needs_a_header_first(tmp_path, text):
         load_model_catalog(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("m,100\n", "^line 2: expected 3 cells, got 2$"), ("m,100,lots\n", "^line 2: non-integer limits in row 'm'$")],
+    ids=["two-cells", "word-limit"],
+)
+def test_catalog_rejects_bad_rows(tmp_path, row, message):
+    path = tmp_path / "models.csv"
+    path.write_text("name,context_window,max_output_tokens\n" + row)
+    with pytest.raises(ParseError, match=message):
+        load_model_catalog(path)
+
+
 def test_catalog_rejects_inconsistent_limits(tmp_path):
     path = tmp_path / "models.csv"
     path.write_text("name,context_window,max_output_tokens\nm,100,500\n")
@@ -470,6 +482,14 @@ def test_model_spec_validation():
         ModelSpec("m", 100, 200)  # OL above CW
     with pytest.raises(ValueError):
         ModelSpec("m", 0, 0)
+
+
+def test_piece_validation():
+    with pytest.raises(ValueError, match="at least one element"):
+        ConversationPiece((), 0, 0)
+    for gm, fm in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            ConversationPiece(("a",), gm, fm)
 
 
 def test_budget_config_validation():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dsmplan.errors import ParseError
+from dsmplan.errors import DuplicateId, ParseError
 from dsmplan.tokens import count_tokens_approx, load_token_table
 
 
@@ -97,6 +97,15 @@ def test_load_token_table_rejects_bad_rows(tmp_path):
     path = tmp_path / "tokens.csv"
     path.write_text("id,tokens\na,notanumber\n")
     with pytest.raises(ParseError, match="line 2"):
+        load_token_table(path)
+    path.write_text("id,tokens\na,3\nb,4,5\n")
+    with pytest.raises(ParseError, match="^line 3: expected 2 cells, got 3$"):
+        load_token_table(path)
+    path.write_text("id,tokens\na,3\na,4\n")
+    with pytest.raises(DuplicateId, match="'a'"):
+        load_token_table(path)
+    path.write_text("id,tokens\na,-3\n")
+    with pytest.raises(ParseError, match="^line 2: token count for 'a' is negative$"):
         load_token_table(path)
 
 
