@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .dsm import Dsm
-from .errors import EmptyMatrix, IncompleteAssignment
+from .errors import IncompleteAssignment, require_int
 
 SIZE_MODE_COUNT = "count"
 SIZE_MODE_TOKENS = "tokens"
@@ -53,6 +53,10 @@ _COOL_RATIO = 1e-3  # final temperature as a fraction of the initial one
 
 @dataclass(frozen=True)
 class ClusterParams:
+    """Search settings.  ``max_cluster_tokens``, when set, caps each cluster's
+    summed token count; 0 is a cap like any other, met only by 0-token
+    elements."""
+
     alpha: float = 2.0
     beta: float = 1.0
     size_mode: str = SIZE_MODE_COUNT
@@ -63,17 +67,17 @@ class ClusterParams:
 
     def __post_init__(self) -> None:
         for name in ("seed", "restarts", "iterations_per_restart"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            require_int(name, getattr(self, name))
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.size_mode not in (SIZE_MODE_COUNT, SIZE_MODE_TOKENS):
             raise ValueError(f"unknown size mode {self.size_mode!r}")
-        if self.max_cluster_tokens is not None and self.max_cluster_tokens <= 0:
-            raise ValueError("max_cluster_tokens must be positive when set")
+        if self.max_cluster_tokens is not None:
+            require_int("max_cluster_tokens", self.max_cluster_tokens)
+            if self.max_cluster_tokens < 0:
+                raise ValueError("max_cluster_tokens must be non-negative when set")
         if self.restarts < 1 or self.iterations_per_restart < 0:
             raise ValueError("need at least one restart and non-negative iterations")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
@@ -97,14 +101,14 @@ class ClusterAssignment:
         return groups
 
 
-def _token_vector(
-    dsm: Dsm, token_counts: Mapping[str, int] | None, params: ClusterParams
-) -> list[int] | None:
+def _token_vector(dsm: Dsm, token_counts: Mapping[str, int] | None, params: ClusterParams) -> list[int]:
+    """Each element's count in matrix order; all zeros when none are given,
+    which only count sizing without a cap allows (it never reads them)."""
     needs_tokens = params.size_mode == SIZE_MODE_TOKENS or params.max_cluster_tokens is not None
     if token_counts is None:
         if needs_tokens:
             raise ValueError("token counts required for token-sum sizing or a token cap")
-        return None
+        return [0] * dsm.n
     missing = [e for e in dsm.element_ids if e not in token_counts]
     if missing:
         raise IncompleteAssignment(tuple(missing))
@@ -115,23 +119,23 @@ def _token_vector(
     return tok
 
 
-def _mean_tokens(params: ClusterParams, tok: Sequence[int] | None) -> float:
+def _mean_tokens(params: ClusterParams, tok: Sequence[int]) -> float:
     """The token-sum size unit, or 0.0 when clusters are sized by element count.
 
     An all-zero token corpus is sized by count too: with every element the
     same size, the two modes agree, as they do on any uniform corpus.
     """
-    if params.size_mode == SIZE_MODE_COUNT or tok is None or not len(tok):
+    if params.size_mode == SIZE_MODE_COUNT or not len(tok):
         return 0.0
     return sum(tok) / len(tok)  # np.mean's value while the sum is below 2**53: one exact sum, one rounding
 
 
-def _size_sq(labels: Sequence[int], params: ClusterParams, tok: Sequence[int] | None) -> float:
+def _size_sq(labels: Sequence[int], params: ClusterParams, tok: Sequence[int]) -> float:
     mean = _mean_tokens(params, tok)
     if mean == 0.0:
         return float(sum(c * c for c in Counter(labels).values()))
     sums: dict[int, int] = {}
-    for label, tokens in zip(labels, tok):  # type: ignore[arg-type]
+    for label, tokens in zip(labels, tok):
         sums[label] = sums.get(label, 0) + tokens
     return float(sum((c / mean) ** 2 for c in sums.values()))
 
@@ -143,7 +147,7 @@ def _interaction(dsm: Dsm, labels: Sequence[int]) -> int:
 
 
 def _score(
-    dsm: Dsm, labels: Sequence[int], params: ClusterParams, tok: Sequence[int] | None
+    dsm: Dsm, labels: Sequence[int], params: ClusterParams, tok: Sequence[int]
 ) -> tuple[float, float, int]:
     """J, its raw size term and its raw interaction term for a label vector.
 
@@ -179,7 +183,7 @@ def _anneal_chain(
     nbrs: list[list[tuple[int, int]]],
     total: int,
     params: ClusterParams,
-    tok: list[int] | None,
+    tok: list[int],
     chain_index: int,
 ) -> tuple[list[int], float]:
     """One annealing restart; returns the best label vector seen and its tracked J."""
@@ -195,13 +199,12 @@ def _anneal_chain(
     else:
         labels = list(range(n))  # singletons are always cap-feasible here
     size_sq = _size_sq(labels, params, tok)
-    tokens = tok if tok is not None else [0] * n
     limit = math.inf if cap is None else cap
     count = [0] * n
     toksum = [0] * n
     for pos, label in enumerate(labels):
         count[label] += 1
-        toksum[label] += tokens[pos]
+        toksum[label] += tok[pos]
     mean_tok = _mean_tokens(params, tok)  # 0.0: clusters are sized by count
 
     # exact integer interaction bookkeeping: I0 = total - intra, and a
@@ -219,7 +222,7 @@ def _anneal_chain(
     best_j = current_j
     best_labels = labels.copy()
 
-    if iters == 0 or n < 2:
+    if iters == 0:
         return best_labels, best_j
 
     temperature = max(1.0, 0.05 * current_j)
@@ -249,7 +252,7 @@ def _anneal_chain(
                 target = active[k + 1]
         else:
             target = free[0]
-        if toksum[target] + tokens[e] > limit:
+        if toksum[target] + tok[e] > limit:
             continue  # infinite penalty: never even propose acceptance
 
         # the zero diagonal keeps e itself out of its neighbour list
@@ -263,7 +266,7 @@ def _anneal_chain(
         if mean_tok == 0.0:
             d_size = 2 * (count[target] - count[source] + 1)
         else:
-            te = tokens[e] / mean_tok
+            te = tok[e] / mean_tok
             s_src = toksum[source] / mean_tok
             s_tgt = toksum[target] / mean_tok
             d_size = 2.0 * te * (s_tgt - s_src + te)
@@ -275,8 +278,8 @@ def _anneal_chain(
         labels[e] = target
         count[source] -= 1
         count[target] += 1
-        toksum[source] -= tokens[e]
-        toksum[target] += tokens[e]
+        toksum[source] -= tok[e]
+        toksum[target] += tok[e]
         if count[target] == 1:
             del free[0]
             insort(active, target)
@@ -296,7 +299,7 @@ def _anneal_chain(
 
 
 def _finalize(
-    dsm: Dsm, labels: Sequence[int], params: ClusterParams, tok: list[int] | None
+    dsm: Dsm, labels: Sequence[int], params: ClusterParams, tok: list[int]
 ) -> ClusterAssignment:
     canon, num_clusters = _canonical(labels)
     cluster_of = dict(zip(dsm.element_ids, canon))
@@ -311,7 +314,7 @@ def _finalize(
 
 
 def _check_tracked(
-    tracked_j: float, j_total: float, params: ClusterParams, tok: list[int] | None
+    tracked_j: float, j_total: float, params: ClusterParams, tok: list[int]
 ) -> None:
     """Raise if a chain's incremental J drifted from direct summation."""
     if _mean_tokens(params, tok) == 0.0:
@@ -340,15 +343,13 @@ def cluster(
     """
     params = params or ClusterParams()
     n = dsm.n
-    if n == 0:
-        raise EmptyMatrix()
     tok = _token_vector(dsm, token_counts, params)
     cap = params.max_cluster_tokens
-    if cap is not None and tok is not None and max(tok) > cap:
+    if cap is not None and max(tok, default=0) > cap:
         worst = dsm.element_ids[tok.index(max(tok))]
         raise ValueError(f"element {worst!r} alone exceeds max_cluster_tokens={cap}")
-    if n == 1:
-        return _finalize(dsm, [0], params, tok)
+    if n < 2:
+        return _finalize(dsm, range(n), params, tok)
 
     nbrs = _neighbours(dsm)
     total = sum(dsm.marks[2])
@@ -358,7 +359,7 @@ def cluster(
         scored.append((_score(dsm, labels, params, tok)[0], labels))
         _check_tracked(tracked_j, scored[-1][0], params, tok)
     scored.append((_score(dsm, range(n), params, tok)[0], range(n)))  # all singletons
-    if cap is None or sum(tok) <= cap:  # type: ignore[arg-type]
+    if cap is None or sum(tok) <= cap:
         scored.append((_score(dsm, [0] * n, params, tok)[0], [0] * n))
     # first minimum: ties go to the earlier candidate
     return _finalize(dsm, min(scored, key=lambda candidate: candidate[0])[1], params, tok)
@@ -377,8 +378,6 @@ def assignment_from_groups(
     so costs are comparable.
     """
     params = params or ClusterParams()
-    if dsm.n == 0:
-        raise EmptyMatrix()
     flat: dict[str, int] = {}
     for index, group in enumerate(groups):
         for element_id in group:

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 from .errors import (
     DuplicateId,
     LengthMismatch,
-    MissingTokenCount,
     NegativeWeight,
     NonSquare,
     NonzeroDiagonal,
@@ -217,8 +216,6 @@ def build_dsm(elements: Iterable[ConversationElement]) -> Dsm:
     rows = [i for i, element in enumerate(elements) for _ in element.dependencies]
     cols = [index[dep] for element in elements for dep in element.dependencies]
     vals = [elements[j].token_count for j in cols]
-    if None in vals:
-        raise MissingTokenCount(elements[cols[vals.index(None)]].id)
     return Dsm._from_marks(tuple(index), rows, cols, vals, NUMERICAL)
 
 
@@ -305,4 +302,4 @@ def dsm_from_csv_text(text: str) -> Dsm:
 
 def parse_dsm_csv(path: str | Path) -> Dsm:
     """Parse a DSM from its CSV file form (see :func:`write_dsm_csv`)."""
-    return dsm_from_csv_text(Path(path).read_text(encoding="utf-8"))
+    return dsm_from_csv_text(Path(path).read_text(encoding="utf-8-sig"))

@@ -1,10 +1,20 @@
 """Structured exceptions shared across the package.
 
 Everything raised on bad input derives from DsmPlanError so callers (and the
-CLI) can catch one type and report instead of crashing.
+CLI) can catch one type and report instead of crashing.  :func:`require_int`
+is the integer check that the public dataclasses share.
 """
 
 from __future__ import annotations
+
+from typing import Any
+
+
+def require_int(name: str, value: Any) -> None:
+    """Raise ValueError unless ``value`` is an int; bool is an int subclass,
+    but no count, limit or seed."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 class DsmPlanError(Exception):
@@ -75,11 +85,6 @@ class IncompleteAssignment(DsmPlanError):
     def __init__(self, missing: tuple[str, ...]):
         self.missing = missing
         super().__init__(f"assignment misses elements: {', '.join(missing)}")
-
-
-class EmptyMatrix(DsmPlanError):
-    def __init__(self) -> None:
-        super().__init__("cannot cluster an empty matrix")
 
 
 class UnsplittablePiece(DsmPlanError):

@@ -24,7 +24,7 @@ for the user statement and instructions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -35,24 +35,30 @@ from .errors import (
     ParseError,
     SelfDependency,
     UnknownDependency,
+    require_int,
 )
 from .tokens import count_tokens_approx
 
 
 @dataclass(frozen=True)
 class ConversationElement:
-    """One addressable chunk of the conversation."""
+    """One addressable chunk of the conversation.
+
+    ``token_count`` is a required keyword-only int, so every element has a
+    count; :func:`parse_manifest` resolves it before it builds the element.
+    """
 
     id: str
     label: str
     dependencies: tuple[str, ...] = ()
     text: str | None = None
-    token_count: int | None = None
+    token_count: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         # a repeated dependency is one dependency: one DSM mark, one miss when lost
         object.__setattr__(self, "dependencies", tuple(dict.fromkeys(self.dependencies)))
-        if self.token_count is not None and self.token_count < 0:
+        require_int(f"element {self.id!r}: token_count", self.token_count)
+        if self.token_count < 0:
             raise ValueError(f"element {self.id!r} has negative token count")
 
 
@@ -66,6 +72,8 @@ class ConversationModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
+        for name in ("user_statement_tokens", "instruction_tokens"):
+            require_int(name, getattr(self, name))
         if self.user_statement_tokens < 0 or self.instruction_tokens < 0:
             raise ValueError("token overheads must be non-negative")
 
@@ -74,13 +82,13 @@ class ConversationModel:
         return tuple(e.id for e in self.elements)
 
     def token_counts(self) -> dict[str, int]:
-        return {e.id: e.token_count or 0 for e in self.elements}
+        return {e.id: e.token_count for e in self.elements}
 
     def dependencies(self) -> dict[str, tuple[str, ...]]:
         return {e.id: e.dependencies for e in self.elements}
 
     def total_tokens(self) -> int:
-        return sum(e.token_count or 0 for e in self.elements)
+        return sum(e.token_count for e in self.elements)
 
 
 def check_references(elements: Sequence[ConversationElement]) -> dict[str, int]:
@@ -108,7 +116,7 @@ def read_json_file(path: str | Path, what: str) -> Any:
     """The JSON document in ``path``; any way reading or decoding it fails is a
     ParseError naming ``what`` (e.g. "manifest")."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -216,7 +224,8 @@ def parse_manifest(path: str | Path, table: Mapping[str, int] | None = None) -> 
     fields = [_parse_element(raw, k) for k, raw in enumerate(raw_elements)]
     check_references(fields)  # type: ignore[arg-type]
     elements = [
-        ConversationElement(f.id, f.label, f.dependencies, f.text, _element_tokens(f, table)) for f in fields
+        ConversationElement(f.id, f.label, f.dependencies, f.text, token_count=_element_tokens(f, table))
+        for f in fields
     ]
     return ConversationModel(
         elements=tuple(elements),

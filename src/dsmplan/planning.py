@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 from .clustering import ClusterAssignment, ClusterParams, cluster
 from .data import MODEL_CATALOG
 from .dsm import Dsm, build_dsm
-from .errors import DuplicateModelName, ParseError, UnknownModel, UnsplittablePiece
+from .errors import DuplicateModelName, ParseError, UnknownModel, UnsplittablePiece, require_int
 from .manifest import ConversationElement, ConversationModel
 from .sequencing import SequencingResult, sequence
 
@@ -54,6 +54,8 @@ class ModelSpec:
     max_output_tokens: int
 
     def __post_init__(self) -> None:
+        for name in ("context_window", "max_output_tokens"):
+            require_int(name, getattr(self, name))
         if self.context_window <= 0 or self.max_output_tokens <= 0:
             raise ValueError(f"model {self.name!r}: limits must be positive")
         if self.max_output_tokens > self.context_window:
@@ -73,6 +75,7 @@ class BudgetConfig:
             raise ValueError("fm_ratio must be positive")
         if not math.isfinite(self.fm_ratio):
             raise ValueError("fm_ratio must be finite")
+        require_int("instructions_per_piece", self.instructions_per_piece)
         if self.instructions_per_piece < 0:
             raise ValueError("instructions_per_piece must be non-negative")
 
@@ -307,8 +310,7 @@ def capped_cluster(
         if count > cap:
             raise UnsplittablePiece(element_id)
     dsm = build_dsm(conversation.elements)
-    # every count is at most cap, so a cap of 0 binds as 1 does; the search wants it positive
-    params = replace(cluster_params, max_cluster_tokens=max(cap, 1))
+    params = replace(cluster_params, max_cluster_tokens=cap)
     return dsm, cluster(dsm, params, token_counts=counts), cap
 
 
@@ -320,13 +322,11 @@ def plan_conversation(
 ) -> tuple[SequencingResult, ClusterAssignment, ConversationPlan]:
     """Full pipeline: matrix, capped clustering, sequence, pieces.
 
-    An empty conversation has nothing to cluster: it gets an empty assignment
-    and the zero-piece plan, as :func:`make_naive_plan` gives it.
+    An empty conversation takes the same path: :func:`cluster` gives it the
+    empty assignment and :func:`make_pieces` the zero-piece plan, as
+    :func:`make_naive_plan` gives it.
     """
-    if conversation.elements:
-        dsm, clusters, _ = capped_cluster(conversation, cluster_params, config, spec)
-    else:
-        dsm, clusters = build_dsm(()), ClusterAssignment({}, 0, 0.0, 0.0, 0.0)
+    dsm, clusters, _ = capped_cluster(conversation, cluster_params, config, spec)
     seq = sequence(dsm)
     plan = make_pieces(conversation, seq, clusters, config, spec)
     return seq, clusters, plan
@@ -340,7 +340,7 @@ def plan_conversation(
 def load_model_catalog(path: str | Path) -> tuple[ModelSpec, ...]:
     """Load ``name,context_window,max_output_tokens`` rows; the first non-blank
     row must be that header."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         numbered = enumerate(csv.reader(handle), start=1)
         rows = [(n, row) for n, row in numbered if row and (len(row) > 1 or row[0].strip())]
     expected = ["name", "context_window", "max_output_tokens"]

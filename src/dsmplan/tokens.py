@@ -63,7 +63,7 @@ def count_tokens_approx(text: str) -> int:
 def load_token_table(path: str | Path) -> dict[str, int]:
     """Load a CSV token table as ``{id: tokens}``; its first non-blank row must
     be the header ``id,tokens``."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         numbered = enumerate(csv.reader(handle), start=1)
         rows = [(n, row) for n, row in numbered if row and (len(row) > 1 or row[0].strip())]
     lineno, header = rows[0] if rows else (1, [])

@@ -14,13 +14,11 @@ from typing import Iterator, Mapping, Sequence
 
 from dsmplan.clustering import ClusterAssignment, ClusterParams, _finalize, _score, _token_vector
 from dsmplan.dsm import Dsm
-from dsmplan.errors import EmptyMatrix
 
 
 def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All canonical assignment vectors of length n, in lexicographic order."""
-    if n == 0:
-        return
+    """All canonical assignment vectors of length n, in lexicographic order;
+    n = 0 has one, the empty partition."""
     vector = [0] * n
 
     def extend(pos: int, max_label: int) -> Iterator[tuple[int, ...]]:
@@ -31,15 +29,15 @@ def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:
             vector[pos] = label
             yield from extend(pos + 1, max(max_label, label))
 
-    yield from extend(1, 0)
+    yield from extend(0, -1)
 
 
-def _cap_ok(labels: Sequence[int], tok: Sequence[int] | None, cap: int | None) -> bool:
+def _cap_ok(labels: Sequence[int], tok: Sequence[int], cap: int | None) -> bool:
     if cap is None:
         return True
     sums: dict[int, int] = {}
     for pos, label in enumerate(labels):
-        sums[label] = sums.get(label, 0) + tok[pos]  # type: ignore[index]
+        sums[label] = sums.get(label, 0) + tok[pos]
         if sums[label] > cap:
             return False
     return True
@@ -57,8 +55,6 @@ def brute_force_cluster(
     """
     params = params or ClusterParams()
     n = dsm.n
-    if n == 0:
-        raise EmptyMatrix()
     tok = _token_vector(dsm, token_counts, params)
     cap = params.max_cluster_tokens
 

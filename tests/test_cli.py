@@ -156,8 +156,10 @@ def test_an_empty_manifest_plans_to_zero_pieces(tmp_path, capsys):
     naive = run_cli(capsys, "plan", "--manifest", str(manifest), "--naive", "--format", "json")
     assert planned == naive and planned[0] == 0
     assert json.loads(planned[1])["pieces"] == []
-    # clustering itself still refuses an empty matrix
-    assert run_cli(capsys, "cluster", "--manifest", str(manifest))[0] == 2
+    # clustering an empty matrix is the empty assignment, J 0
+    code, out, err = run_cli(capsys, "cluster", "--manifest", str(manifest))
+    assert (code, err) == (0, "") and "J TOTAL                              0\n" in out
+    assert "CLUSTER" not in out
 
 
 def test_a_zero_piece_cap_plans_like_the_naive_plan(tmp_path, capsys):
@@ -685,17 +687,26 @@ for flags in (["--format", "csv"], ["--format", "text"], ["--format", "json"],
     seen[" ".join(["dsm", *flags])] = loaded()
 dsmplan.reachability(dsmplan.build_dsm(dsmplan.parse_manifest(manifest).elements))
 seen["reachability"] = loaded()
+empty_code, empty_out = run(["cluster", "--manifest", sys.argv[2], "--format", "json"])
+seen["cluster, empty manifest"] = loaded()
 code, plan = run(["plan", "--manifest", manifest])
-print(json.dumps({"seen": seen, "plan": plan, "code": code, "after_plan": loaded()}))
+print(json.dumps({"seen": seen, "plan": plan, "code": code, "after_plan": loaded(),
+                  "empty": [empty_code, json.loads(empty_out)["num_clusters"]]}))
 """
 
 
-def test_commands_without_search_never_import_numpy():
+def test_commands_without_search_never_import_numpy(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"elements": []}', encoding="utf-8")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, MANIFEST], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", _NUMPY_PROBE, MANIFEST, str(empty)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
@@ -710,7 +721,9 @@ def test_commands_without_search_never_import_numpy():
         "dsm --format json": False,
         "dsm --binary --permute sequence --format text": False,
         "reachability": False,
+        "cluster, empty manifest": False,
     }
+    assert result["empty"] == [0, 0]  # exit 0, "num_clusters": 0
     # the annealer draws from numpy's generator: the first search imports it,
     # and the plan it finds is unchanged
     assert result["after_plan"] and result["code"] == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dsmplan import clustering
 from dsmplan.clustering import (
+    ClusterAssignment,
     ClusterParams,
     assignment_from_groups,
     cluster,
@@ -21,7 +22,9 @@ from dsmplan.clustering import (
     _token_vector,
 )
 from dsmplan.dsm import Dsm
-from dsmplan.errors import EmptyMatrix, IncompleteAssignment
+from dsmplan.errors import IncompleteAssignment
+from dsmplan.manifest import ConversationModel
+from dsmplan.planning import BudgetConfig, ModelSpec, plan_conversation
 from oracles import brute_force_cluster, _cap_ok, _growth_strings
 
 # the reference partition shipped with the spacecraft corpus:
@@ -202,9 +205,27 @@ def test_single_element():
     assert result.j_total == 2.0
 
 
-def test_empty_matrix_rejected():
-    with pytest.raises(EmptyMatrix):
-        cluster(Dsm((), np.zeros((0, 0), dtype=int)))
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("cap", [None, 0])
+def test_edge_sizes_agree_across_entry_points(n, cap):
+    # at n <= 2 the two trivial candidates are every partition, so the search is exact
+    ids = ("a", "b")[:n]
+    w = np.zeros((n, n), dtype=np.int64)
+    if n == 2:
+        w[1, 0] = 5  # one cluster (J 8) beats singletons (J 9)
+    d = Dsm(ids, w)
+    params = ClusterParams(max_cluster_tokens=cap)
+    counts = None if cap is None else dict.fromkeys(ids, 0)  # a cap of 0 holds only 0-token elements
+    result = cluster(d, params, counts)
+    assert result == brute_force_cluster(d, params, counts)
+    if n < 2:
+        assert assignment_from_groups(d, [[e] for e in ids], params, counts) == result
+    if n == 2:
+        assert result.num_clusters == 1
+    if n == 0:
+        assert result == ClusterAssignment({}, 0, 0.0, 0.0, 0.0)
+        spec = ModelSpec("m", context_window=1000, max_output_tokens=100)
+        assert plan_conversation(ConversationModel(()), params, BudgetConfig(), spec)[1] == result
 
 
 @given(small_dsm())
@@ -488,8 +509,8 @@ def test_growth_strings_enumerate_all_partitions():
         (0, 1, 1),
         (0, 1, 2),
     ]
-    bell = [1, 2, 5, 15, 52, 203]  # partition counts for n = 1..6
-    for n, count in enumerate(bell, start=1):
+    bell = [1, 1, 2, 5, 15, 52, 203]  # partition counts for n = 0..6
+    for n, count in enumerate(bell):
         assert sum(1 for _ in _growth_strings(n)) == count
 
 
@@ -510,7 +531,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ClusterParams(restarts=0)
     with pytest.raises(ValueError):
-        ClusterParams(max_cluster_tokens=0)
+        ClusterParams(max_cluster_tokens=-1)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         ClusterParams(seed=-1)
     # bool is an int subclass, but no count or seed
@@ -523,6 +544,8 @@ def test_params_validation():
         ("seed", 1.5),
         ("seed", False),
         ("seed", None),
+        ("max_cluster_tokens", 10.5),
+        ("max_cluster_tokens", True),
     ]:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ClusterParams(**{field: value})

@@ -21,7 +21,6 @@ from dsmplan.dsm import (
 from dsmplan.errors import (
     DuplicateId,
     LengthMismatch,
-    MissingTokenCount,
     NegativeWeight,
     NonSquare,
     NonzeroDiagonal,
@@ -136,21 +135,21 @@ def test_the_largest_int64_weight_is_kept_exactly():
 
 
 def test_build_dsm_checks_the_graph_before_token_counts():
-    # "a" has no token count, but the unknown dependency of "c" is reported first
     elements = [
-        ConversationElement(id="a", label="a"),
+        ConversationElement(id="a", label="a", token_count=1),
         ConversationElement(id="b", label="b", dependencies=("a",), token_count=1),
         ConversationElement(id="c", label="c", dependencies=("nope",), token_count=1),
     ]
     with pytest.raises(UnknownDependency):
         build_dsm(elements)
-    with pytest.raises(MissingTokenCount):
-        build_dsm(elements[:2])
 
 
-def test_csv_fixture_files_match_built_matrix(spacecraft_dsm):
+def test_csv_fixture_files_match_built_matrix(spacecraft_dsm, tmp_path):
     assert parse_dsm_csv(SPACECRAFT_DSM_TOKENS) == spacecraft_dsm
     assert parse_dsm_csv(SPACECRAFT_DSM_BINARY) == to_binary(spacecraft_dsm)
+    with_bom = tmp_path / "dsm.csv"
+    with_bom.write_text("\ufeff" + write_dsm_csv(spacecraft_dsm), encoding="utf-8")
+    assert parse_dsm_csv(with_bom) == spacecraft_dsm
     # the shipped file is the canonical serialization, byte for byte
     with open(SPACECRAFT_DSM_TOKENS, encoding="utf-8") as fh:
         assert fh.read() == write_dsm_csv(spacecraft_dsm)

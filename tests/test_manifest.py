@@ -1,4 +1,5 @@
 import json
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,13 @@ from dsmplan.manifest import (
 from dsmplan.tokens import count_tokens_approx, load_token_table
 
 
+Unresolved = namedtuple("Unresolved", "id label dependencies text token_count")
+
+
 def parse_twice(path, table=None) -> ConversationModel:
     """The two-pass parse the library used before it built each element once:
-    every element is built from its fields, then built again with its count,
-    which it resolves by its own copy of the count rule."""
+    every element's fields are read first, then each element is built with its
+    count, which it resolves by its own copy of the count rule."""
     doc = read_json_file(path, "manifest")
     if not isinstance(doc, dict):
         raise ParseError("manifest root must be an object")
@@ -56,7 +60,7 @@ def parse_twice(path, table=None) -> ConversationModel:
         tokens = raw.get("tokens")
         if tokens is not None and (not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0):
             raise ParseError(f"element {element_id!r}: tokens must be a non-negative integer")
-        elements.append(ConversationElement(element_id, label, tuple(deps), text, tokens))
+        elements.append(Unresolved(element_id, label, tuple(deps), text, tokens))
     check_references(elements)
     resolved = []
     for element in elements:
@@ -72,7 +76,9 @@ def parse_twice(path, table=None) -> ConversationModel:
             count = count_tokens_approx(element.text)
         else:
             raise MissingTokenCount(element.id)
-        resolved.append(ConversationElement(element.id, element.label, element.dependencies, element.text, count))
+        resolved.append(
+            ConversationElement(element.id, element.label, element.dependencies, element.text, token_count=count)
+        )
     return ConversationModel(
         elements=tuple(resolved),
         user_statement_tokens=_statement_tokens(doc.get("user_statement"), "user_statement"),
@@ -127,6 +133,8 @@ def test_text_is_counted_approximately(tmp_path):
     model = parse_manifest(path)
     assert model.token_counts() == {"x": 4, "y": 5}
     assert model.user_statement_tokens == 0
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")  # Notepad's UTF-8 BOM
+    assert parse_manifest(path) == model
 
 
 def test_statement_text_is_counted(tmp_path):
@@ -345,6 +353,19 @@ def test_parse_manifest_builds_each_element_once(monkeypatch):
     monkeypatch.setattr(manifest, "ConversationElement", CountingElement)
     model = parse_manifest(SPACECRAFT_MANIFEST)
     assert built == list(model.element_ids)
+
+
+def test_counts_must_be_ints():
+    # budgets are integer arithmetic: a float or a bool count is no count
+    for value in (100.5, True, None):
+        with pytest.raises(ValueError, match=r"element 'x': token_count must be an integer"):
+            ConversationElement("x", "x", token_count=value)
+    for field in ("user_statement_tokens", "instruction_tokens"):
+        for value in (1.5, False):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                ConversationModel((), **{field: value})
+    with pytest.raises(TypeError):
+        ConversationElement("x", "x")  # every element has a count
 
 
 def test_negative_table_count_fails_after_the_reference_check(tmp_path):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import REFERENCE_GROUPS
 from dsmplan import planning
 from dsmplan.clustering import (
+    ClusterAssignment,
     ClusterParams,
     _neighbours,
     _size_sq,
@@ -45,8 +46,6 @@ from dsmplan.dsm import (
 )
 from dsmplan.errors import (
     DsmPlanError,
-    EmptyMatrix,
-    MissingTokenCount,
     NegativeWeight,
     NonSquare,
     NonzeroDiagonal,
@@ -143,8 +142,6 @@ def dense_build_dsm(elements: list[ConversationElement]) -> tuple[tuple[str, ...
     for i, element in enumerate(elements):
         for dep in element.dependencies:
             j = index[dep]
-            if elements[j].token_count is None:
-                raise MissingTokenCount(dep)
             w[i, j] = elements[j].token_count
     return tuple(index), w, NUMERICAL
 
@@ -272,14 +269,13 @@ def random_dsm(draw, max_n=40):
 
 @st.composite
 def random_elements(draw, max_n=25):
-    """Manifest elements with any dependency pattern; a few lack a token count."""
+    """Manifest elements with any dependency pattern."""
     n = draw(st.integers(min_value=0, max_value=max_n))
     ids = [f"e{k}" for k in range(n)]
     elements = []
     for k in range(n):
         deps = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=6)) if n > 1 else []
-        missing = draw(st.integers(min_value=0, max_value=19)) == 0
-        tokens = None if missing else draw(st.integers(min_value=0, max_value=500))
+        tokens = draw(st.integers(min_value=0, max_value=500))
         elements.append(
             ConversationElement(
                 id=ids[k], label=ids[k], dependencies=tuple(ids[j] for j in deps if j != k), token_count=tokens
@@ -366,18 +362,17 @@ def test_mark_stages_match_dense_oracles(case, size_mode):
     groups: dict[int, list[str]] = {}
     for e, label in assignment.items():
         groups.setdefault(label, []).append(e)
-    if d.n == 0:
-        with pytest.raises(EmptyMatrix):
-            assignment_from_groups(d, groups.values(), params, tokens)
-        return
     want = params.alpha * _size_sq(labels, params, tok) + params.beta * dense_interaction(d.weights, labels)
     scored = assignment_from_groups(d, groups.values(), params, tokens)
     assert scored.j_interaction_term == dense_interaction(d.weights, labels)
     assert scored.j_total == want
+    if d.n == 0:
+        assert scored == ClusterAssignment({}, 0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="exactly once"):
         assignment_from_groups(d, [*groups.values(), ["not-an-id"]], params, tokens)
-    with pytest.raises(ValueError, match="exactly once"):
-        assignment_from_groups(d, [*groups.values(), [d.element_ids[0]]], params, tokens)
+    if d.n:
+        with pytest.raises(ValueError, match="exactly once"):
+            assignment_from_groups(d, [*groups.values(), [d.element_ids[0]]], params, tokens)
 
 
 @st.composite

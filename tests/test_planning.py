@@ -448,6 +448,8 @@ def test_catalog_reads_a_header_after_blank_lines(tmp_path):
     path = tmp_path / "models.csv"
     path.write_text("\nname,context_window,max_output_tokens\nm,100,50\n")
     assert load_model_catalog(path) == (ModelSpec("m", 100, 50),)
+    path.write_text("\ufeffname,context_window,max_output_tokens\nm,100,50\n", encoding="utf-8")  # a UTF-8 BOM
+    assert load_model_catalog(path) == (ModelSpec("m", 100, 50),)
 
 
 @pytest.mark.parametrize("text", ["\nmistral-7b,100,50\n", "", "\n"])
@@ -482,6 +484,14 @@ def test_model_spec_validation():
         ModelSpec("m", 100, 200)  # OL above CW
     with pytest.raises(ValueError):
         ModelSpec("m", 0, 0)
+    # budgets are integer arithmetic: a float or a bool limit is no limit
+    for cw, ol, field in (
+        (1000.5, 100, "context_window"),
+        (1000, 100.5, "max_output_tokens"),
+        (True, 1, "context_window"),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ModelSpec("m", cw, ol)
 
 
 def test_piece_validation():
@@ -501,6 +511,9 @@ def test_budget_config_validation():
         BudgetConfig(fm_ratio=0)
     with pytest.raises(ValueError):
         BudgetConfig(instructions_per_piece=-1)
+    for value in (1.5, True, "50"):
+        with pytest.raises(ValueError, match="instructions_per_piece must be an integer"):
+            BudgetConfig(instructions_per_piece=value)
 
 
 @pytest.mark.parametrize("field", ["margin", "fm_ratio"])

@@ -91,6 +91,8 @@ def test_load_token_table(tmp_path):
     path = tmp_path / "tokens.csv"
     path.write_text("id,tokens\na,3\nb,41\n")
     assert load_token_table(path) == {"a": 3, "b": 41}
+    path.write_text("\ufeffid,tokens\na,3\nb,41\n", encoding="utf-8")  # Excel's "CSV UTF-8" starts with a BOM
+    assert load_token_table(path) == {"a": 3, "b": 41}
 
 
 def test_load_token_table_rejects_bad_rows(tmp_path):
