@@ -169,8 +169,8 @@ def _canonical(labels: Sequence[int]) -> tuple[list[int], int]:
 
 
 def _neighbours(dsm: Dsm) -> list[list[tuple[int, int]]]:
-    """Per element ``e``, the ``(j, w)`` pairs with ``w = weights[e, j] + weights[j, e] > 0``,
-    in ascending ``j``."""
+    """Per element ``e``, the ``(j, w)`` pairs in ascending ``j``, where ``w > 0``
+    sums the weights of the marks of ``e`` on ``j`` and of ``j`` on ``e``."""
     rows, cols, vals = dsm.marks
     sums: list[dict[int, int]] = [{} for _ in range(dsm.n)]
     for i, j, w in zip(rows, cols, vals):

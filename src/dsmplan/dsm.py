@@ -6,22 +6,20 @@ form built by :func:`build_dsm` stores, in every cell of column j, the token
 count of provider j — the worst-case cost of re-sending j's text.  The binary
 form keeps only the marks.
 
-A Dsm stores only its marks: ``marks = (rows, cols, vals)``, the nonzero
-cells in row-major order as three tuples of ints.  :func:`build_dsm`,
-:func:`permute`, :func:`to_binary` and the CSV reader build the marks
-directly, and every constructor, the dense ``Dsm(ids, weights, kind)`` one
-included, validates them in one place.  So building, validating, comparing,
-hashing, sequencing, reachability and the clustering scores all cost
-O(n + marks), and planning a conversation never allocates an n×n array.
-Output that prints the whole matrix — CSV and the CLI's ``dsm`` output —
-builds one dense row at a time from the marks, so it touches n² cells; the
-CLI writes each row as it is built and never holds more than one of them,
-and :func:`write_dsm_csv` joins the same CSV lines into one string.
-``weights``, the dense (n, n) int64 matrix, is an optional view: built from
-the marks on first read and cached, read-only, and read by nothing in the
-library.  numpy is imported by the dense constructor and the dense view
-alone; a weight that does not fit the view's int64 cells is rejected when
-the marks are stored.
+A Dsm is its marks: ``marks = (rows, cols, vals)``, the nonzero cells in
+row-major order as three tuples of ints, each one provider→consumer edge.
+Its one constructor, ``Dsm(element_ids, marks, kind)``, takes marks of that
+shape in any order and validates them in one place; :func:`build_dsm`,
+:func:`permute`, :func:`to_binary` and the CSV reader all call it, and
+``Dsm(d.element_ids, d.marks, d.kind) == d``.  So building, validating,
+comparing, hashing, sequencing, reachability and the clustering scores all
+cost O(n + marks), every weight is an exact Python int however large, and
+planning a conversation never allocates an n×n array.  Output that prints
+the whole matrix — CSV and the CLI's ``dsm`` output — builds one dense row
+at a time from the marks, so it touches n² cells; the CLI writes each row as
+it is built, and :func:`write_dsm_csv` joins the same CSV lines.
+``weights``, the dense (n, n) int64 matrix, is an optional view that nothing
+in the library reads, and the only reader of numpy left in this module.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import lt
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateId,
@@ -40,18 +38,15 @@ from .errors import (
     NonSquare,
     NonzeroDiagonal,
     ParseError,
-    WeightOverflow,
+    all_ints,
+    require_int,
 )
 from .manifest import ConversationElement, check_references
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BINARY = "binary"
 NUMERICAL = "numerical"
 
 _ID_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
-_INT64_MAX = 2**63 - 1  # the largest weight a cell of the dense int64 view holds
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -62,59 +57,43 @@ class Dsm:
     marks: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(repr=False)
     positions: dict[str, int] = field(repr=False)  # id -> row/column
 
-    def __init__(self, element_ids: Iterable[str], weights: np.ndarray, kind: str = NUMERICAL) -> None:
-        """A Dsm from a dense (n, n) matrix; it keeps the nonzero cells, not the matrix."""
-        import numpy as np
-
-        w = np.asarray(weights, dtype=np.int64)
-        rows = cols = vals = []
-        if w.ndim == 2 and w.shape[0] == w.shape[1]:
-            nonzero = np.nonzero(w)
-            rows, cols, vals = nonzero[0].tolist(), nonzero[1].tolist(), w[nonzero].tolist()
-        self._store(element_ids, w.shape, rows, cols, vals, kind)
-
-    @classmethod
-    def _from_marks(cls, element_ids: Sequence[str], rows, cols, vals, kind: str) -> "Dsm":
-        """A Dsm from its cells, in any order; zero cells are dropped."""
-        dsm = cls.__new__(cls)
-        dsm._store(element_ids, (len(element_ids), len(element_ids)), rows, cols, vals, kind)
-        return dsm
-
-    def _store(self, element_ids: Iterable[str], shape: tuple[int, ...], rows, cols, vals, kind: str) -> None:
-        """The one validation path of every constructor; it sorts the cells row-major.
-
-        The cells come as parallel sequences and are sorted by position
-        (``row * n + col``), so no cell becomes an object of its own; the sort
-        runs in about linear time on cells that come row by row, as every
-        constructor but :func:`permute` gives them.
-        """
+    def __init__(self, element_ids: Iterable[str], marks: tuple[Sequence[int], ...], kind: str = NUMERICAL) -> None:
+        """A Dsm from its marks: mark k has weight ``vals[k]`` at row ``rows[k]``,
+        column ``cols[k]``, in any order; zero weights are dropped.  They are
+        sorted by position (``row * n + col``) as parallel sequences, in about
+        linear time on marks that come row by row, as all but :func:`permute` give them."""
         ids = tuple(element_ids)
         positions: dict[str, int] = {}
         for element_id in ids:
             if element_id in positions:
                 raise DuplicateId(element_id)
             positions[element_id] = len(positions)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise NonSquare(f"weights shape {shape} is not square")
-        if shape[0] != len(ids):
-            raise NonSquare(f"{len(ids)} element ids but {shape[0]} matrix rows")
         n = len(ids)
+        rows, cols, vals = marks
+        if not len(rows) == len(cols) == len(vals):
+            k = min(len(rows), len(cols), len(vals))
+            raise ValueError(f"mark {k} is incomplete: {len(rows)} rows, {len(cols)} columns, {len(vals)} weights")
+        if not (all_ints(rows) and all_ints(cols) and all_ints(vals)):
+            _raise_first_bad_mark(n, rows, cols, vals)
         position = [row * n + col for row, col in zip(rows, cols)]
-        kept_rows: list[int] = []
-        kept_cols: list[int] = []
-        kept_vals: list[int] = []
-        top = 1 if kind == BINARY else _INT64_MAX
+        order = sorted(range(len(position)), key=position.__getitem__)  # row-major
+        # once every column is in 0..n-1 the sorted rows ascend, so the first and last bound them
+        if order and not (0 <= min(cols) and max(cols) < n and 0 <= rows[order[0]] and rows[order[-1]] < n):
+            _raise_first_bad_mark(n, rows, cols, vals)
+        kept_rows, kept_cols, kept_vals = [], [], []
         clean = kind in (BINARY, NUMERICAL)
-        for k in sorted(range(len(position)), key=position.__getitem__):  # row-major
+        last = -1  # the position of the previous mark kept
+        for k in order:
             val = vals[k]
             if val:
                 row, col = rows[k], cols[k]
                 kept_rows.append(row)
                 kept_cols.append(col)
                 kept_vals.append(val)
-                if val < 0 or val > top or row == col:
+                if val < 0 or row == col or position[k] == last:
                     clean = False
-        if not clean:
+                last = position[k]
+        if not clean or kind == BINARY and kept_vals and max(kept_vals) > 1:
             _raise_first_fault(ids, kept_rows, kept_cols, kept_vals, kind)
         object.__setattr__(self, "element_ids", ids)
         object.__setattr__(self, "kind", kind)
@@ -136,8 +115,10 @@ class Dsm:
             yield row
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """The dense (n, n) int64 matrix, read-only; built from the marks on first read."""
+    def weights(self):
+        """The dense (n, n) int64 numpy array, read-only; built from the marks on
+        first read.  A weight beyond int64 raises numpy's OverflowError here,
+        and only here: the marks hold it exactly."""
         import numpy as np
 
         rows, cols, vals = self.marks
@@ -150,9 +131,6 @@ class Dsm:
     def n(self) -> int:
         return len(self.element_ids)
 
-    def index(self, element_id: str) -> int:
-        return self.positions[element_id]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dsm):
             return NotImplemented
@@ -162,10 +140,22 @@ class Dsm:
         return hash((self.element_ids, self.kind, self.marks))
 
 
-def _raise_first_fault(ids: tuple[str, ...], rows: list[int], cols: list[int], vals: list[int], kind: str) -> None:
+def _raise_first_bad_mark(n: int, rows: Sequence, cols: Sequence, vals: Sequence) -> None:
+    """Raise ValueError for the first mark, in the given order, that holds a
+    row, column or weight that is not an int, or a row or column outside 0..n-1."""
+    for k, (row, col, val) in enumerate(zip(rows, cols, vals)):
+        for name, value in (("row", row), ("column", col), ("weight", val)):
+            require_int(f"mark {k}'s {name}", value)
+        if not (0 <= row < n and 0 <= col < n):
+            raise ValueError(f"mark {k} at row {row}, column {col} lies outside the {n} x {n} matrix")
+
+
+def _raise_first_fault(
+    ids: tuple[str, ...], rows: Sequence[int], cols: Sequence[int], vals: Sequence[int], kind: str
+) -> None:
     """Raise for what is wrong with these row-major marks, checked in this order:
     a negative weight, a diagonal mark, the kind, a binary weight above 1, and
-    a weight the dense int64 view cannot hold."""
+    two marks in one cell."""
     marks = list(zip(rows, cols, vals))
     for row, col, val in marks:
         if val < 0:
@@ -175,11 +165,11 @@ def _raise_first_fault(ids: tuple[str, ...], rows: list[int], cols: list[int], v
             raise NonzeroDiagonal(f"nonzero diagonal at {ids[row]}")
     if kind not in (BINARY, NUMERICAL):
         raise ValueError(f"unknown matrix kind {kind!r}")
-    if kind == BINARY:
+    if kind == BINARY and max(vals) > 1:
         raise ValueError("binary matrix may only contain 0/1")
-    for row, col, val in marks:
-        if val > _INT64_MAX:
-            raise WeightOverflow(f"weight {val} at row {ids[row]}, column {ids[col]} exceeds {_INT64_MAX}")
+    for (row, col, _), (next_row, next_col, _) in zip(marks, marks[1:]):
+        if (row, col) == (next_row, next_col):
+            raise ValueError(f"two marks at row {ids[row]}, column {ids[col]}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,10 @@ class Permutation:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        order = tuple(int(i) for i in self.order)
+        order = tuple(self.order)
+        if not all_ints(order):
+            for k, i in enumerate(order):
+                require_int(f"permutation entry {k}", i)
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(len(order))):
             raise ValueError(f"not a permutation of 0..{len(order) - 1}: {order}")
@@ -216,13 +209,13 @@ def build_dsm(elements: Iterable[ConversationElement]) -> Dsm:
     rows = [i for i, element in enumerate(elements) for _ in element.dependencies]
     cols = [index[dep] for element in elements for dep in element.dependencies]
     vals = [elements[j].token_count for j in cols]
-    return Dsm._from_marks(tuple(index), rows, cols, vals, NUMERICAL)
+    return Dsm(index, (rows, cols, vals))
 
 
 def to_binary(dsm: Dsm) -> Dsm:
     """Collapse weights to 0/1 marks; idempotent."""
     rows, cols, _ = dsm.marks
-    return Dsm._from_marks(dsm.element_ids, rows, cols, [1] * len(rows), BINARY)
+    return Dsm(dsm.element_ids, (rows, cols, [1] * len(rows)), BINARY)
 
 
 def permute(dsm: Dsm, permutation: Permutation) -> Dsm:
@@ -232,7 +225,7 @@ def permute(dsm: Dsm, permutation: Permutation) -> Dsm:
     ids = tuple(dsm.element_ids[i] for i in permutation.order)
     slot = permutation.inverse().order  # source index -> target slot
     rows, cols, vals = dsm.marks
-    return Dsm._from_marks(ids, [slot[r] for r in rows], [slot[c] for c in cols], vals, dsm.kind)
+    return Dsm(ids, ([slot[r] for r in rows], [slot[c] for c in cols], vals), dsm.kind)
 
 
 def above_diagonal_marks(dsm: Dsm) -> int:
@@ -295,9 +288,8 @@ def dsm_from_csv_text(text: str) -> Dsm:
             rows.append(i)
             cols.append(j)
             vals.append(value)
-    nonzero = [v for v in vals if v != 0]
-    kind = BINARY if nonzero and all(v == 1 for v in nonzero) else NUMERICAL
-    return Dsm._from_marks(tuple(ids), rows, cols, vals, kind)
+    kind = BINARY if set(vals) - {0} == {1} else NUMERICAL
+    return Dsm(ids, (rows, cols, vals), kind)
 
 
 def parse_dsm_csv(path: str | Path) -> Dsm:

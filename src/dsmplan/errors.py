@@ -2,12 +2,13 @@
 
 Everything raised on bad input derives from DsmPlanError so callers (and the
 CLI) can catch one type and report instead of crashing.  :func:`require_int`
-is the integer check that the public dataclasses share.
+is the integer check that the public dataclasses share, and :func:`all_ints`
+the same rule over a long sequence.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 
 def require_int(name: str, value: Any) -> None:
@@ -15,6 +16,12 @@ def require_int(name: str, value: Any) -> None:
     but no count, limit or seed."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def all_ints(values: Iterable[Any]) -> bool:
+    """Whether every one of ``values`` passes :func:`require_int`.  It checks
+    each distinct type once, so a long sequence costs one pass of C builtins."""
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
 class DsmPlanError(Exception):
@@ -63,10 +70,6 @@ class NegativeWeight(DsmPlanError):
 
 class NonzeroDiagonal(DsmPlanError):
     pass
-
-
-class WeightOverflow(DsmPlanError):
-    """A mark weight too large for the dense matrix's int64 cells."""
 
 
 class MissingTokenCount(DsmPlanError):

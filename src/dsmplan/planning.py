@@ -90,6 +90,8 @@ class ConversationPiece:
     def __post_init__(self) -> None:
         if not self.element_ids:
             raise ValueError("a piece needs at least one element")
+        for name in ("gm_tokens", "fm_tokens"):
+            require_int(name, getattr(self, name))
         if self.gm_tokens < 0 or self.fm_tokens < 0:
             raise ValueError("piece token counts must be non-negative")
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import NamedTuple
 
-from .errors import SpecMismatch
+from .errors import SpecMismatch, require_int
 from .planning import ConversationPlan, max_filled_tokens, output_budget
 
 
@@ -142,9 +142,10 @@ def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> Si
     supports sweeps below the model's output limit.  A piece that cannot fit
     the window even on its own is run all the same, evicting its own earliest
     entries, and listed in ``oversized_piece_indices``.  ValueError is raised
-    only for a non-positive window or a malformed plan (see :func:`lay_out`).
+    only for a window that is no positive int, or a malformed plan (:func:`lay_out`).
     """
     cw = plan.model.context_window if context_window is None else context_window
+    require_int("context_window", cw)
     if cw <= 0:
         raise ValueError("context window must be positive")
     layout = plan._layout
@@ -189,6 +190,7 @@ class LossCurve(NamedTuple):
 
     def at(self, context_window: int) -> tuple[int, int]:
         """``(dependency_misses, lost_tokens)`` of a run at ``context_window``."""
+        require_int("context_window", context_window)
         if context_window <= 0:
             raise ValueError("context window must be positive")
         kept = bisect_right(self.needs, context_window)

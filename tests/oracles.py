@@ -1,8 +1,15 @@
-"""The exhaustive clustering oracle: the global optimum of J over every set
-partition, for the small matrices the search is checked against.
+"""Test oracles: the dense ``Dsm`` constructor, and the exhaustive clustering
+oracle.
 
-It scores with the library's own direct summation, so it checks the search,
-not the scorer; the scorer has its own straight-from-the-definition oracle in
+:func:`dense` builds a Dsm from an (n, n) matrix, with the shape checks the
+library's dense constructor made before the library took marks only; it is
+how most tests write a small matrix, and the reference for the validation
+order.
+
+:func:`brute_force_cluster` is the global optimum of J over every set
+partition, for the small matrices the search is checked against.  It scores
+with the library's own direct summation, so it checks the search, not the
+scorer; the scorer has its own straight-from-the-definition oracle in
 ``test_clustering.py``.  Its cost grows with the Bell numbers (115 975
 partitions at n = 10), so keep n small.
 """
@@ -10,10 +17,26 @@ partitions at n = 10), so keep n small.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from dsmplan.clustering import ClusterAssignment, ClusterParams, _finalize, _score, _token_vector
-from dsmplan.dsm import Dsm
+from dsmplan.dsm import NUMERICAL, Dsm
+from dsmplan.errors import NonSquare
+
+
+def dense(ids: Iterable[str], weights, kind: str = NUMERICAL) -> Dsm:
+    """The Dsm of a dense (n, n) matrix: its nonzero cells, once the matrix
+    is square with a row per id."""
+    ids = tuple(ids)
+    w = np.asarray(weights, dtype=np.int64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise NonSquare(f"weights shape {w.shape} is not square")
+    if w.shape[0] != len(ids):
+        raise NonSquare(f"{len(ids)} element ids but {w.shape[0]} matrix rows")
+    nonzero = np.nonzero(w)
+    return Dsm(ids, (nonzero[0].tolist(), nonzero[1].tolist(), w[nonzero].tolist()), kind)
 
 
 def _growth_strings(n: int) -> Iterator[tuple[int, ...]]:

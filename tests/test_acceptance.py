@@ -15,7 +15,6 @@ import numpy as np
 from dsmplan import (
     BudgetConfig,
     ClusterParams,
-    Dsm,
     assignment_from_groups,
     budget_report,
     cluster,
@@ -27,7 +26,7 @@ from dsmplan import (
 from dsmplan.data import SPACECRAFT_MANIFEST
 
 from conftest import REFERENCE_GROUPS
-from oracles import brute_force_cluster
+from oracles import brute_force_cluster, dense
 from test_sequencing import bitsets, closure_by_dfs, mutual_groups
 
 
@@ -158,7 +157,7 @@ def test_criterion_6_search_matches_brute_force():
         n = int(rng.integers(5, 8))
         w = rng.integers(0, 10, size=(n, n))
         np.fill_diagonal(w, 0)
-        d = Dsm(tuple(chr(ord("a") + i) for i in range(n)), w)
+        d = dense(tuple(chr(ord("a") + i) for i in range(n)), w)
         found = cluster(d, params).j_total
         exact = brute_force_cluster(d, params).j_total
         if found == exact:
@@ -176,7 +175,7 @@ def test_criterion_7_reachability_oracle():
     for case in range(100):
         w = (rng.random((8, 8)) < 0.3).astype(np.int64)
         np.fill_diagonal(w, 0)
-        d = Dsm(tuple(chr(ord("a") + i) for i in range(8)), w)
+        d = dense(tuple(chr(ord("a") + i) for i in range(8)), w)
         if reachability(d) != bitsets(closure_by_dfs(d)):
             all_equal = False
             break

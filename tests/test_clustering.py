@@ -25,7 +25,7 @@ from dsmplan.dsm import Dsm
 from dsmplan.errors import IncompleteAssignment
 from dsmplan.manifest import ConversationModel
 from dsmplan.planning import BudgetConfig, ModelSpec, plan_conversation
-from oracles import brute_force_cluster, _cap_ok, _growth_strings
+from oracles import _cap_ok, _growth_strings, brute_force_cluster, dense
 
 # the reference partition shipped with the spacecraft corpus:
 # two coupled blocks plus three standalone elements
@@ -77,7 +77,7 @@ def small_dsm(draw, max_n=6):
         for j in range(n):
             if i != j:
                 w[i, j] = draw(st.integers(min_value=0, max_value=20))
-    return Dsm(ids, w)
+    return dense(ids, w)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_cost_requires_complete_assignment(spacecraft_dsm):
 
 def test_token_mode_agrees_with_count_mode_on_uniform_corpus():
     w = np.array([[0, 5, 0], [0, 0, 5], [5, 0, 0]], dtype=np.int64)
-    d = Dsm(("a", "b", "c"), w)
+    d = dense(("a", "b", "c"), w)
     assignment = {"a": 0, "b": 0, "c": 1}
     uniform = {"a": 7, "b": 7, "c": 7}
     by_count = grouped_cost(d, assignment, ClusterParams(size_mode="count"))
@@ -129,7 +129,7 @@ def test_token_mode_agrees_with_count_mode_on_uniform_corpus():
 
 def test_token_mode_is_scale_invariant():
     w = np.array([[0, 5, 0], [0, 0, 5], [5, 0, 0]], dtype=np.int64)
-    d = Dsm(("a", "b", "c"), w)
+    d = dense(("a", "b", "c"), w)
     assignment = {"a": 0, "b": 0, "c": 1}
     params = ClusterParams(size_mode="tokens")
     base = {"a": 10, "b": 30, "c": 20}
@@ -166,7 +166,7 @@ def test_search_is_deterministic(spacecraft_dsm):
 
 
 def test_zero_matrix_prefers_singletons():
-    d = Dsm(tuple("abcde"), np.zeros((5, 5), dtype=int))
+    d = dense(tuple("abcde"), np.zeros((5, 5), dtype=int))
     result = cluster(d, ClusterParams(restarts=4, iterations_per_restart=200))
     assert result.num_clusters == 5
     assert result.j_total == 2.0 * 5
@@ -181,7 +181,7 @@ def test_two_block_structure_is_recovered():
             for j in block:
                 if i != j:
                     w[i, j] = 50
-    d = Dsm(tuple(string.ascii_lowercase[:n]), w)
+    d = dense(tuple(string.ascii_lowercase[:n]), w)
     result = cluster(d, ClusterParams(restarts=8, iterations_per_restart=1000))
     got = {frozenset(g) for g in result.clusters()}
     assert got == {frozenset("abcd"), frozenset("efgh")}
@@ -199,7 +199,7 @@ def test_canonical_labels_follow_first_appearance(spacecraft_dsm):
 
 
 def test_single_element():
-    d = Dsm(("a",), np.zeros((1, 1), dtype=int))
+    d = dense(("a",), np.zeros((1, 1), dtype=int))
     result = cluster(d)
     assert result.cluster_of == {"a": 0}
     assert result.j_total == 2.0
@@ -213,7 +213,7 @@ def test_edge_sizes_agree_across_entry_points(n, cap):
     w = np.zeros((n, n), dtype=np.int64)
     if n == 2:
         w[1, 0] = 5  # one cluster (J 8) beats singletons (J 9)
-    d = Dsm(ids, w)
+    d = dense(ids, w)
     params = ClusterParams(max_cluster_tokens=cap)
     counts = None if cap is None else dict.fromkeys(ids, 0)  # a cap of 0 holds only 0-token elements
     result = cluster(d, params, counts)
@@ -354,7 +354,7 @@ def anneal_case(draw):
         restarts=draw(st.integers(min_value=1, max_value=3)),
         iterations_per_restart=draw(st.sampled_from([0, 1, 50, 500])),
     )
-    return Dsm(ids, w.astype(np.int64)), params, dict(zip(ids, tokens.tolist()))
+    return dense(ids, w.astype(np.int64)), params, dict(zip(ids, tokens.tolist()))
 
 
 @given(anneal_case())
@@ -380,7 +380,7 @@ def pin_dsm(n: int = 300, seed: str = "cluster-pin") -> tuple[Dsm, dict[str, int
             w[k, ahead] = tokens[ahead]
             w[ahead, k] = tokens[k]
     ids = tuple(f"e{k:03d}" for k in range(n))
-    return Dsm(ids, w), dict(zip(ids, tokens))
+    return dense(ids, w), dict(zip(ids, tokens))
 
 
 # the default 32 x 2000 search on pin_dsm(), whose chains open and empty
@@ -460,7 +460,7 @@ def test_zero_token_corpus_is_sized_by_count(monkeypatch, spacecraft_dsm):
 def test_cap_forces_singletons():
     w = np.full((3, 3), 100, dtype=np.int64)
     np.fill_diagonal(w, 0)
-    d = Dsm(("a", "b", "c"), w)
+    d = dense(("a", "b", "c"), w)
     counts = {"a": 60, "b": 60, "c": 60}
     result = cluster(d, ClusterParams(max_cluster_tokens=100), token_counts=counts)
     assert result.num_clusters == 3
@@ -474,18 +474,18 @@ def test_cap_respected_by_search(spacecraft, spacecraft_dsm):
 
 
 def test_cap_smaller_than_one_element_rejected():
-    d = Dsm(("a", "b"), np.zeros((2, 2), dtype=int))
+    d = dense(("a", "b"), np.zeros((2, 2), dtype=int))
     with pytest.raises(ValueError):
         cluster(d, ClusterParams(max_cluster_tokens=5), token_counts={"a": 10, "b": 1})
 
 
 def test_cap_needs_token_counts():
-    d = Dsm(("a", "b"), np.zeros((2, 2), dtype=int))
+    d = dense(("a", "b"), np.zeros((2, 2), dtype=int))
     with pytest.raises(ValueError):
         cluster(d, ClusterParams(max_cluster_tokens=5))
     # the counts must cover every element and none may be negative, for the
     # search and the scorer alike
-    d = Dsm(("a", "b", "c"), np.zeros((3, 3), dtype=int))
+    d = dense(("a", "b", "c"), np.zeros((3, 3), dtype=int))
     params = ClusterParams(max_cluster_tokens=10)
     with pytest.raises(IncompleteAssignment, match="c"):
         cluster(d, params, token_counts={"a": 8, "b": 5})
@@ -517,7 +517,7 @@ def test_growth_strings_enumerate_all_partitions():
 def test_brute_force_honors_cap():
     w = np.full((3, 3), 100, dtype=np.int64)
     np.fill_diagonal(w, 0)
-    d = Dsm(("a", "b", "c"), w)
+    d = dense(("a", "b", "c"), w)
     counts = {"a": 60, "b": 60, "c": 60}
     result = brute_force_cluster(d, ClusterParams(max_cluster_tokens=100), token_counts=counts)
     assert result.num_clusters == 3

@@ -1,3 +1,4 @@
+import re
 import string
 
 import numpy as np
@@ -26,10 +27,10 @@ from dsmplan.errors import (
     NonzeroDiagonal,
     ParseError,
     UnknownDependency,
-    WeightOverflow,
 )
 from dsmplan.manifest import ConversationElement
 from dsmplan.data import SPACECRAFT_DSM_BINARY, SPACECRAFT_DSM_TOKENS
+from oracles import dense
 
 
 def test_build_dsm_columns_carry_provider_tokens(spacecraft, spacecraft_dsm):
@@ -39,9 +40,10 @@ def test_build_dsm_columns_carry_provider_tokens(spacecraft, spacecraft_dsm):
         column = d.weights[:, j]
         assert set(np.unique(column)) <= {0, counts[provider]}
     # spot checks: D depends on C, M depends on K
-    assert d.weights[d.index("D"), d.index("C")] == 3082
-    assert d.weights[d.index("M"), d.index("K")] == 239
-    assert d.weights[d.index("A"), d.index("B")] == 0
+    at = d.positions
+    assert d.weights[at["D"], at["C"]] == 3082
+    assert d.weights[at["M"], at["K"]] == 239
+    assert d.weights[at["A"], at["B"]] == 0
 
 
 def test_spacecraft_totals_match_frozen(spacecraft_dsm, expected):
@@ -69,7 +71,7 @@ def test_permute_roundtrip(spacecraft_dsm):
 
 
 def test_permute_moves_cells():
-    d = Dsm(("a", "b"), np.array([[0, 0], [7, 0]]))
+    d = dense(("a", "b"), np.array([[0, 0], [7, 0]]))
     swapped = permute(d, Permutation((1, 0)))
     assert swapped.element_ids == ("b", "a")
     assert swapped.weights[0, 1] == 7
@@ -86,41 +88,76 @@ def test_permutation_must_be_bijection():
         Permutation((0, 0, 1))
 
 
+def test_permutation_rejects_entries_that_are_not_ints():
+    # int() once made (0.7, 1.2) the permutation (0, 1) and (True, False) (1, 0)
+    with pytest.raises(ValueError, match="permutation entry 0 must be an integer, not 0.7"):
+        Permutation((0.7, 1.2))
+    with pytest.raises(ValueError, match="permutation entry 1 must be an integer, not False"):
+        Permutation((1, False))
+    assert Permutation([1, 0]).order == (1, 0)
+
+
 def test_dsm_validation():
     with pytest.raises(DuplicateId):
-        Dsm(("a", "a"), np.zeros((2, 2), dtype=int))
-    with pytest.raises(NonSquare):
-        Dsm(("a", "b"), np.zeros((2, 3), dtype=int))
-    with pytest.raises(NonSquare):
-        Dsm(("a", "b", "c"), np.zeros((2, 2), dtype=int))
+        Dsm(("a", "a"), ((), (), ()))
     with pytest.raises(NegativeWeight):
-        Dsm(("a", "b"), np.array([[0, -1], [0, 0]]))
+        Dsm(("a", "b"), ((0,), (1,), (-1,)))
     with pytest.raises(NonzeroDiagonal):
-        Dsm(("a", "b"), np.array([[1, 0], [0, 0]]))
-    with pytest.raises(ValueError):
-        Dsm(("a", "b"), np.array([[0, 2], [0, 0]]), kind=BINARY)
+        Dsm(("a", "b"), ((0,), (0,), (1,)))
+    with pytest.raises(ValueError, match="binary matrix may only contain 0/1"):
+        Dsm(("a", "b"), ((0,), (1,), (2,)), kind=BINARY)
     with pytest.raises(ValueError, match="unknown matrix kind 'weighted'"):
-        Dsm(("a", "b"), np.zeros((2, 2), dtype=int), kind="weighted")
+        Dsm(("a", "b"), ((), (), ()), kind="weighted")
+
+
+def test_two_marks_in_one_cell_are_rejected():
+    with pytest.raises(ValueError, match="two marks at row b, column a"):
+        Dsm(("a", "b"), ((1, 0, 1), (0, 1, 0), (2, 1, 3)))
+    assert Dsm(("a", "b"), ((1, 1), (0, 0), (0, 3))).marks == ((1,), (0,), (3,))  # a zero cell is no mark
+
+
+@pytest.mark.parametrize(
+    "marks, message",
+    [
+        (((0, 1), (1,), (5, 5)), "mark 1 is incomplete: 2 rows, 1 columns, 2 weights"),
+        (((0,), (1,), ()), "mark 0 is incomplete: 1 rows, 1 columns, 0 weights"),
+        (((1, 0, 2), (0, 1, 1), (5, 5, 5)), "mark 2 at row 2, column 1 lies outside the 2 x 2 matrix"),
+        (((1, -1), (0, 1), (5, 5)), "mark 1 at row -1, column 1 lies outside the 2 x 2 matrix"),
+        (((1, 0), (0, 1), (5, 1.5)), "mark 1's weight must be an integer, not 1.5"),
+        (((1, 0), (0.0, 1), (5, 5)), "mark 0's column must be an integer, not 0.0"),
+        (((True,), (0,), (5,)), "mark 0's row must be an integer, not True"),
+        (((1,), (0,), (True,)), "mark 0's weight must be an integer, not True"),
+        (((1, 0), (0, 1), (0, "5")), "mark 1's weight must be an integer, not '5'"),
+        (((0, 1.5), (5, 0), (1, 1)), "mark 0 at row 0, column 5 lies outside the 2 x 2 matrix"),
+    ],
+    ids=["short-cols", "short-vals", "row-range", "negative-row", "float", "float-col", "bool-row",
+         "bool-weight", "str-weight", "first-bad-mark"],
+)  # fmt: skip
+def test_malformed_marks_name_the_first_bad_mark(marks, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dsm(("a", "b"), marks)
 
 
 INT64_MAX = 2**63 - 1
 
 
 @pytest.mark.parametrize("tokens", [INT64_MAX + 1, 10**23])
-def test_build_dsm_rejects_a_weight_beyond_int64(tokens):
+def test_a_weight_beyond_int64_is_kept_exactly(tokens):
     elements = [
         ConversationElement(id="a", label="a", token_count=tokens),
         ConversationElement(id="b", label="b", dependencies=("a",), token_count=1),
     ]
-    with pytest.raises(WeightOverflow, match=f"weight {tokens} at row b, column a exceeds {INT64_MAX}"):
-        build_dsm(elements)
-    build_dsm(elements[:1])  # a count no one depends on leaves no mark
-
-
-@pytest.mark.parametrize("value", [INT64_MAX + 1, 10**23])
-def test_csv_rejects_a_weight_beyond_int64(value):
-    with pytest.raises(WeightOverflow, match=f"weight {value} at row a, column b"):
-        dsm_from_csv_text(f",a,b\na,,{value}\nb,,\n")
+    d = build_dsm(elements)
+    assert d.marks == ((1,), (0,), (tokens,))
+    swapped = permute(d, Permutation((1, 0)))
+    assert swapped.marks == ((0,), (1,), (tokens,))
+    assert permute(swapped, Permutation((1, 0))) == d
+    text = write_dsm_csv(d)
+    assert text == f",a,b\na,,\nb,{tokens},\n"
+    assert dsm_from_csv_text(text) == d
+    assert to_binary(d).marks == ((1,), (0,), (1,))
+    with pytest.raises(OverflowError):
+        d.weights  # the dense int64 view is the one reader that cannot hold it
 
 
 def test_the_largest_int64_weight_is_kept_exactly():
@@ -162,7 +199,7 @@ def test_equality_and_hash_follow_the_marks(spacecraft_dsm, cell, value):
     assert hash(back) == hash(spacecraft_dsm)
     w = spacecraft_dsm.weights.copy()
     w[cell] = value  # change a mark's weight, add a mark, remove a mark
-    changed = Dsm(spacecraft_dsm.element_ids, w)
+    changed = dense(spacecraft_dsm.element_ids, w)
     assert changed != spacecraft_dsm
     assert changed != back
 
@@ -193,7 +230,7 @@ def test_csv_rejects_malformed(text, error):
 
 
 def test_csv_roundtrip_of_an_empty_matrix():
-    empty = Dsm((), np.zeros((0, 0), dtype=np.int64))
+    empty = dense((), np.zeros((0, 0), dtype=np.int64))
     back = dsm_from_csv_text(write_dsm_csv(empty))
     assert back.element_ids == () and back.weights.shape == (0, 0)
 
@@ -216,7 +253,7 @@ def random_dsms(draw):
     )
     w = np.array(cells, dtype=np.int64)
     np.fill_diagonal(w, 0)
-    return Dsm(ids, w)
+    return dense(ids, w)
 
 
 @given(random_dsms())
@@ -234,3 +271,16 @@ def test_binary_collapse_preserves_sparsity(d):
     b = to_binary(d)
     assert np.array_equal(b.weights != 0, d.weights != 0)
     assert above_diagonal_marks(b) == above_diagonal_marks(d)
+
+
+@given(random_dsms(), st.randoms(use_true_random=False), st.integers(min_value=0, max_value=6))
+def test_the_marks_rebuild_the_dsm(numerical, rnd, zeros):
+    for d in (numerical, to_binary(numerical)):
+        again = Dsm(d.element_ids, d.marks, d.kind)
+        assert again == d and hash(again) == hash(d)
+        # the same marks in any order, with zero cells (diagonal ones too) mixed in
+        cells = list(zip(*d.marks)) + [(rnd.randrange(d.n), rnd.randrange(d.n), 0) for _ in range(zeros)]
+        rnd.shuffle(cells)
+        rows, cols, vals = ([cell[k] for cell in cells] for k in range(3))
+        shuffled = Dsm(d.element_ids, (rows, cols, vals), d.kind)
+        assert shuffled == d and hash(shuffled) == hash(d)

@@ -54,7 +54,7 @@ from dsmplan.errors import (
 from dsmplan.manifest import ConversationElement, ConversationModel, check_references
 from dsmplan.planning import BudgetConfig, make_pieces, plan_conversation
 from dsmplan.sequencing import SequencingResult, _tarjan_sccs, reachability, sequence
-from oracles import brute_force_cluster
+from oracles import brute_force_cluster, dense
 from test_sequencing import bitsets
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def assert_is_dense(d: Dsm, ids: tuple[str, ...], weights: np.ndarray, kind: str
     assert d.marks == want
     assert_immutable_ints(d.marks)
     assert hash(d) == hash((ids, kind, want))
-    assert d == Dsm(ids, weights, kind=kind)
+    assert d == dense(ids, weights, kind=kind)
     assert np.array_equal(d.weights, weights) and d.weights.dtype == np.int64
     assert not d.weights.flags.writeable
     assert d.weights is d.weights  # built once, then cached
@@ -264,7 +264,7 @@ def random_matrix(draw, max_n=40):
 @st.composite
 def random_dsm(draw, max_n=40):
     ids, w, kind, rng = draw(random_matrix(max_n))
-    return Dsm(ids, w, kind=kind), rng
+    return dense(ids, w, kind=kind), rng
 
 
 @st.composite
@@ -312,7 +312,7 @@ def fixed_grouping_plan(conversation: ConversationModel, config: BudgetConfig, s
 
 
 # ---------------------------------------------------------------------------
-# every constructor equals the dense code it replaced
+# every function that builds a Dsm gives the marks the dense code gave
 # ---------------------------------------------------------------------------
 
 
@@ -320,7 +320,7 @@ def fixed_grouping_plan(conversation: ConversationModel, config: BudgetConfig, s
 @settings(max_examples=150, deadline=None)
 def test_constructors_match_the_dense_code(case):
     ids, w, kind, rng = case
-    d = Dsm(ids, w, kind=kind)
+    d = dense(ids, w, kind=kind)
     assert_is_dense(d, ids, w, kind)
     order = rng.permutation(len(ids)).tolist()
     assert_is_dense(permute(d, Permutation(order)), *dense_permute(ids, w, kind, order))
@@ -393,7 +393,7 @@ def printable_dsm(draw, max_n=40):
                 w[i][j] = 1 if kind == BINARY else rng.randrange(1, 2 ** rng.choice([1, 8, 32, 63]))
     order = list(range(n))
     rng.shuffle(order)
-    return permute(Dsm(ids, np.array(w, dtype=np.int64).reshape(n, n), kind=kind), Permutation(order)), csv_safe
+    return permute(dense(ids, np.array(w, dtype=np.int64).reshape(n, n), kind=kind), Permutation(order)), csv_safe
 
 
 @given(printable_dsm())
@@ -443,10 +443,10 @@ def test_validation_raises_what_the_dense_checks_raised(n, kind, corruptions, se
                 w[i, j] = 2
     error = dense_validation_error(ids, w, kind)
     if error is None:
-        Dsm(ids, w, kind=kind)
+        dense(ids, w, kind=kind)
     else:
         with pytest.raises(Exception) as raised:
-            Dsm(ids, w, kind=kind)
+            dense(ids, w, kind=kind)
         assert type(raised.value) is error
 
 
@@ -466,7 +466,7 @@ class _Untouchable:
 
 
 def _without_weights(d: Dsm) -> Dsm:
-    guarded = Dsm(d.element_ids, d.weights, kind=d.kind)
+    guarded = Dsm(d.element_ids, d.marks, d.kind)
     object.__setattr__(guarded, "weights", _Untouchable())
     return guarded
 
@@ -497,7 +497,7 @@ def test_stages_read_only_the_marks(spacecraft, spacecraft_dsm, size_mode, cap):
     fixed = assignment_from_groups(guarded, REFERENCE_GROUPS, params, counts)
     assert fixed == assignment_from_groups(d, REFERENCE_GROUPS, params, counts)
 
-    small = Dsm(d.element_ids[:6], d.weights[:6, :6])
+    small = dense(d.element_ids[:6], d.weights[:6, :6])
     small_counts = {e: counts[e] for e in small.element_ids}
     small_params = ClusterParams(size_mode=size_mode, max_cluster_tokens=cap)
     assert brute_force_cluster(_without_weights(small), small_params, small_counts) == brute_force_cluster(

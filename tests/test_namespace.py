@@ -47,6 +47,23 @@ def test_importing_the_package_loads_no_layer_and_no_numpy(module):
     assert loaded == sorted({"dsmplan", module})
 
 
+def test_the_marks_pipeline_loads_no_numpy():
+    # only the optional dense view, Dsm.weights, imports numpy in dsm.py
+    assert _fresh(
+        "import json, sys\n"
+        "from dsmplan import Dsm, Permutation, build_dsm, parse_dsm_csv, parse_manifest, permute, to_binary,"
+        " write_dsm_csv\n"
+        "from dsmplan.data import SPACECRAFT_DSM_TOKENS, SPACECRAFT_MANIFEST\n"
+        "from dsmplan.dsm import dsm_from_csv_text\n"
+        "d = build_dsm(parse_manifest(SPACECRAFT_MANIFEST).elements)\n"
+        "assert parse_dsm_csv(SPACECRAFT_DSM_TOKENS) == d == Dsm(d.element_ids, d.marks, d.kind)\n"
+        "p = permute(d, Permutation(tuple(reversed(range(d.n)))))\n"
+        "b = to_binary(p)\n"
+        "assert dsm_from_csv_text(write_dsm_csv(b)) == b\n"
+        "print(json.dumps(['numpy' in sys.modules, b.n]))"
+    ) == [False, 13]
+
+
 def test_submodules_resolve_after_a_bare_import():
     assert _fresh(
         "import json, dsmplan\n"

@@ -25,7 +25,7 @@ def random_digraph(draw, max_n=40):
     )
     marks = sorted({(i, j) for i, j in edges if i != j})
     rows, cols = [i for i, _ in marks], [j for _, j in marks]
-    d = Dsm._from_marks(tuple(f"v{k}" for k in range(n)), rows, cols, [1] * len(marks), BINARY)
+    d = Dsm(tuple(f"v{k}" for k in range(n)), (rows, cols, [1] * len(marks)), BINARY)
     g = nx.DiGraph()
     g.add_nodes_from(range(n))
     g.add_edges_from((j, i) for i, j in marks)

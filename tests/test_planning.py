@@ -500,6 +500,9 @@ def test_piece_validation():
     for gm, fm in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="non-negative"):
             ConversationPiece(("a",), gm, fm)
+    for gm, fm, field in ((1.5, 0, "gm_tokens"), (0, True, "fm_tokens"), (0, 2.0, "fm_tokens")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ConversationPiece(("a",), gm, fm)
 
 
 def test_budget_config_validation():

@@ -364,6 +364,13 @@ def test_window_must_be_positive(naive_plan):
         simulate(naive_plan, context_window=0)
 
 
+@pytest.mark.parametrize("window", [4000.5, True, "32000"])
+def test_window_must_be_an_integer(naive_plan, window):
+    # True once ran as a window of 1 token and was reported as True
+    with pytest.raises(ValueError, match=f"context_window must be an integer, not {window!r}"):
+        simulate(naive_plan, context_window=window)
+
+
 # ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
@@ -548,6 +555,12 @@ def test_annealed_spacecraft_plan_loses_nothing_from_19544_tokens(spacecraft, mi
 def test_loss_curve_window_must_be_positive(reference_plan):
     with pytest.raises(ValueError):
         loss_curve(reference_plan).at(0)
+
+
+@pytest.mark.parametrize("window", [4000.5, True])
+def test_loss_curve_window_must_be_an_integer(reference_plan, window):
+    with pytest.raises(ValueError, match=f"context_window must be an integer, not {window!r}"):
+        loss_curve(reference_plan).at(window)
 
 
 # ---------------------------------------------------------------------------
