@@ -1,10 +1,9 @@
 """Test oracles: the dense ``Dsm`` constructor, and the exhaustive clustering
 oracle.
 
-:func:`dense` builds a Dsm from an (n, n) matrix, with the shape checks the
-library's dense constructor made before the library took marks only; it is
-how most tests write a small matrix, and the reference for the validation
-order.
+:func:`dense` builds a Dsm from an (n, n) matrix once its shape is checked.
+It is how most tests write a small matrix, and the reference that
+``test_marks.py`` checks the constructor's fault order against.
 
 :func:`brute_force_cluster` is the global optimum of J over every set
 partition, for the small matrices the search is checked against.  It scores

@@ -89,7 +89,7 @@ def test_permutation_must_be_bijection():
 
 
 def test_permutation_rejects_entries_that_are_not_ints():
-    # int() once made (0.7, 1.2) the permutation (0, 1) and (True, False) (1, 0)
+    # entries are checked, not coerced: (0.7, 1.2) is not (0, 1), nor (1, False) (1, 0)
     with pytest.raises(ValueError, match="permutation entry 0 must be an integer, not 0.7"):
         Permutation((0.7, 1.2))
     with pytest.raises(ValueError, match="permutation entry 1 must be an integer, not False"):

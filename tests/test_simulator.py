@@ -366,7 +366,7 @@ def test_window_must_be_positive(naive_plan):
 
 @pytest.mark.parametrize("window", [4000.5, True, "32000"])
 def test_window_must_be_an_integer(naive_plan, window):
-    # True once ran as a window of 1 token and was reported as True
+    # True is no window of 1 token
     with pytest.raises(ValueError, match=f"context_window must be an integer, not {window!r}"):
         simulate(naive_plan, context_window=window)
 
