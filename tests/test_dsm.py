@@ -142,7 +142,7 @@ INT64_MAX = 2**63 - 1
 
 
 @pytest.mark.parametrize("tokens", [INT64_MAX + 1, 10**23])
-def test_a_weight_beyond_int64_is_kept_exactly(tokens):
+def test_build_dsm_keeps_a_weight_beyond_int64(tokens):
     elements = [
         ConversationElement(id="a", label="a", token_count=tokens),
         ConversationElement(id="b", label="b", dependencies=("a",), token_count=1),
@@ -158,6 +158,16 @@ def test_a_weight_beyond_int64_is_kept_exactly(tokens):
     assert to_binary(d).marks == ((1,), (0,), (1,))
     with pytest.raises(OverflowError):
         d.weights  # the dense int64 view is the one reader that cannot hold it
+
+
+@pytest.mark.parametrize("value", [INT64_MAX + 1, 10**23])
+def test_csv_keeps_a_weight_beyond_int64(value):
+    text = f",a,b\na,,{value}\nb,,\n"
+    d = dsm_from_csv_text(text)
+    assert d.marks == ((0,), (1,), (value,))
+    assert write_dsm_csv(d) == text
+    with pytest.raises(OverflowError):
+        d.weights
 
 
 def test_the_largest_int64_weight_is_kept_exactly():
