@@ -207,26 +207,6 @@ def _plan(
     )
 
 
-def _split_oversized(ids: list[str], counts: dict[str, int], cap: int) -> list[tuple[str, ...]]:
-    """Greedy split at element boundaries so every chunk's GM stays within ``cap``."""
-    chunks: list[tuple[str, ...]] = []
-    current: list[str] = []
-    current_gm = 0
-    for element_id in ids:
-        t = counts[element_id]
-        if t > cap:
-            raise UnsplittablePiece(element_id)
-        if current and current_gm + t > cap:
-            chunks.append(tuple(current))
-            current = []
-            current_gm = 0
-        current.append(element_id)
-        current_gm += t
-    if current:
-        chunks.append(tuple(current))
-    return chunks
-
-
 def make_pieces(
     conversation: ConversationModel,
     seq: SequencingResult,
@@ -234,12 +214,13 @@ def make_pieces(
     config: BudgetConfig,
     spec: ModelSpec,
 ) -> ConversationPlan:
-    """Cut the sequenced conversation into pieces.
+    """Cut the sequenced conversation into pieces in one walk of the sequence.
 
-    Walking the sequence, a maximal run of elements sharing one (multi-member)
-    cluster becomes a piece, as does a maximal run of consecutive singletons.
-    Pieces whose reply budget would overflow OL are split greedily at element
-    boundaries.  The user statement rides along with the first piece.
+    Each element has a run key: its cluster when that cluster has more than
+    one member, else one key shared by all singletons.  A piece ends where
+    the key changes, or where the next element would push its GM above
+    :func:`max_piece_tokens`.  The user statement rides along with the first
+    piece.
     """
     ids = set(conversation.element_ids)
     if ids != set(seq.element_ids) or ids != set(clusters.cluster_of):
@@ -249,19 +230,22 @@ def make_pieces(
     for index in clusters.cluster_of.values():
         cluster_sizes[index] = cluster_sizes.get(index, 0) + 1
 
-    runs: list[list[str]] = []
+    cap = max_piece_tokens(config, spec)
+    chunks: list[list[str]] = []
     run_key: object = None
+    gm = 0
     for element_id in seq.sequenced_ids():
+        tokens = counts[element_id]
+        if tokens > cap:
+            raise UnsplittablePiece(element_id)
         index = clusters.cluster_of[element_id]
         key = index if cluster_sizes[index] > 1 else "singletons"
-        if not runs or key != run_key:
-            runs.append([])
-            run_key = key
-        runs[-1].append(element_id)
-
-    cap = max_piece_tokens(config, spec)
-    chunks = [chunk for run in runs for chunk in _split_oversized(run, counts, cap)]
-    return _plan(chunks, conversation, counts, config, spec)
+        if not chunks or key != run_key or gm + tokens > cap:
+            chunks.append([])
+            run_key, gm = key, 0
+        chunks[-1].append(element_id)
+        gm += tokens
+    return _plan([tuple(chunk) for chunk in chunks], conversation, counts, config, spec)
 
 
 def make_naive_plan(
