@@ -216,11 +216,13 @@ def make_pieces(
 ) -> ConversationPlan:
     """Cut the sequenced conversation into pieces in one walk of the sequence.
 
-    Each element has a run key: its cluster when that cluster has more than
-    one member, else one key shared by all singletons.  A piece ends where
-    the key changes, or where the next element would push its GM above
-    :func:`max_piece_tokens`.  The user statement rides along with the first
-    piece.
+    The walk takes one unit at a time: a coupled group (``seq.cycles``) whose
+    GM fits :func:`max_piece_tokens`, so no boundary falls inside it, or else
+    one element.  A unit's run key is the cluster of its first element when
+    that cluster has more than one member, else one key shared by all
+    singletons.  A piece ends where the key changes, or where the next unit
+    would push its GM above the cap.  The user statement rides along with the
+    first piece.
     """
     ids = set(conversation.element_ids)
     if ids != set(seq.element_ids) or ids != set(clusters.cluster_of):
@@ -231,19 +233,24 @@ def make_pieces(
         cluster_sizes[index] = cluster_sizes.get(index, 0) + 1
 
     cap = max_piece_tokens(config, spec)
+    whole = {group[0]: len(group) for group in seq.cycles if sum(counts[e] for e in group) <= cap}
+    order = seq.sequenced_ids()
     chunks: list[list[str]] = []
     run_key: object = None
     gm = 0
-    for element_id in seq.sequenced_ids():
-        tokens = counts[element_id]
-        if tokens > cap:
-            raise UnsplittablePiece(element_id)
-        index = clusters.cluster_of[element_id]
+    i = 0
+    while i < len(order):
+        unit = order[i : i + whole.get(order[i], 1)]
+        i += len(unit)
+        tokens = sum(counts[e] for e in unit)
+        if tokens > cap:  # only a lone element can be
+            raise UnsplittablePiece(unit[0])
+        index = clusters.cluster_of[unit[0]]
         key = index if cluster_sizes[index] > 1 else "singletons"
         if not chunks or key != run_key or gm + tokens > cap:
             chunks.append([])
             run_key, gm = key, 0
-        chunks[-1].append(element_id)
+        chunks[-1].extend(unit)
         gm += tokens
     return _plan([tuple(chunk) for chunk in chunks], conversation, counts, config, spec)
 

@@ -632,29 +632,24 @@ PIECE 1  [A, B]  (+ user statement)
   Filled text    - FM              462
   Output budget  - OB              486
   OL - OB                        +7706
-PIECE 2  [C, G, F]
-  Generic text   - GM             4143
-  Filled text    - FM             4143
-  Output budget  - OB             4351
-  OL - OB                        +3841
-PIECE 3  [H]
-  Generic text   - GM             1510
-  Filled text    - FM             1510
-  Output budget  - OB             1586
-  OL - OB                        +6606
-PIECE 4  [D, E, I, J, L, K]
+PIECE 2  [C, G, F, H]
+  Generic text   - GM             5653
+  Filled text    - FM             5653
+  Output budget  - OB             5936
+  OL - OB                        +2256
+PIECE 3  [D, E, I, J, L, K]
   Generic text   - GM             3582
   Filled text    - FM             3582
   Output budget  - OB             3762
   OL - OB                        +4430
-PIECE 5  [M]
+PIECE 4  [M]
   Generic text   - GM               16
   Filled text    - FM               16
   Output budget  - OB               17
   OL - OB                        +8175
 WHOLE CONVERSATION                    
-  Window budget  - WB            20870
-  CW - WB                       +11130
+  Window budget  - WB            20818
+  CW - WB                       +11182
 FEASIBLE                           yes
 """
 

@@ -18,7 +18,7 @@ def test_readme_python_blocks_run(monkeypatch):
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["report"].feasible
     assert namespace["result"].context_window == 4000
-    assert namespace["curve"].lossless_window == 19544
+    assert namespace["curve"].lossless_window == 19494
 
 
 def test_spacecraft_study_runs_and_repeats():

@@ -543,13 +543,13 @@ def test_loss_curve_matches_needs_and_replay(plan):
     assert window == max(needs.values(), default=0)
 
 
-def test_annealed_spacecraft_plan_loses_nothing_from_19544_tokens(spacecraft, mistral):
+def test_annealed_spacecraft_plan_loses_nothing_from_19494_tokens(spacecraft, mistral):
     config = BudgetConfig(margin=0.05, instructions_per_piece=spacecraft.instruction_tokens)
     _, _, plan = plan_conversation(spacecraft, ClusterParams(seed=42), config, mistral)
     curve = loss_curve(plan)
-    assert curve.lossless_window == 19544
-    assert simulate(plan, context_window=19544).dependency_misses == 0
-    assert simulate(plan, context_window=19543).dependency_misses > 0
+    assert curve.lossless_window == 19494
+    assert simulate(plan, context_window=19494).dependency_misses == 0
+    assert simulate(plan, context_window=19493).dependency_misses > 0
 
 
 def test_loss_curve_window_must_be_positive(reference_plan):
