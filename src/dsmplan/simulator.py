@@ -18,11 +18,15 @@ provider's start offset is below the head.  So each such pair has a *need*,
 ``end_k`` minus the provider's start: the pair is missed exactly when its
 need exceeds CW.  Providers that have not been sent yet (feedback edges
 inside coupled groups) are not misses — nothing was lost from the window.
+But a provider sent in a later piece means the consumer's piece was answered
+without it: each such (consumer, provider) is an *early pair*.  Early pairs
+do not depend on the window, so the layout lists them and every report
+counts them.
 
 The simulation therefore has two parts.  :func:`lay_out` walks the plan once,
 without a window: entry offsets, each piece's start and end, the
-output-overflow total, and every pair that can be missed with its need.  The
-layout is cached on the frozen plan (outside ``==``, ``hash`` and ``repr``),
+output-overflow total, every pair that can be missed with its need, and the
+early pairs.  The layout is cached on the frozen plan (outside ``==``, ``hash`` and ``repr``),
 so a sweep lays a plan out once.  Per window, :func:`simulate` then costs one
 bisection per piece for the evictions (the head only moves forward), one
 comparison per piece for oversized pieces, and one per pair for the misses.
@@ -56,6 +60,7 @@ class SimulationReport:
     max_output_tokens: int
     steps: tuple[SimulationStep, ...]
     dependency_misses: int
+    early_dependencies: int  # len(PlanLayout.early_pairs), the same at every window
     lost_tokens: int
     output_overflow_tokens: int
     missed_pairs: tuple[tuple[str, str], ...]  # (consumer, provider)
@@ -74,6 +79,7 @@ class PlanLayout(NamedTuple):
     pairs: tuple[tuple[str, str], ...]  # (consumer, provider) that can be missed, in report order
     needs: tuple[int, ...]  # per pair: its piece's end minus the provider's start
     provider_tokens: tuple[int, ...]  # per pair: what missing it loses
+    early_pairs: tuple[tuple[str, str], ...]  # (consumer, provider) sent in a later piece, in report order
 
 
 def lay_out(plan: ConversationPlan) -> PlanLayout:
@@ -96,6 +102,7 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
     pairs: list[tuple[str, str]] = []
     needs: list[int] = []
     provider_tokens: list[int] = []
+    unsent: list[tuple[str, str]] = []  # (consumer, provider) not sent by the consumer's piece
     overflow = 0
     end = 0  # stream offset after the last entry sent
 
@@ -116,7 +123,9 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
         for element_id in piece.element_ids:
             for provider in deps[element_id]:
                 provider_start = start.get(provider)
-                if provider_start is not None:  # a provider not sent yet can't be missed
+                if provider_start is None:  # a provider not sent yet can't be missed
+                    unsent.append((element_id, provider))
+                else:
                     pairs.append((element_id, provider))
                     needs.append(end - provider_start)
                     provider_tokens.append(counts[provider])
@@ -132,6 +141,7 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
         pairs=tuple(pairs),
         needs=tuple(needs),
         provider_tokens=tuple(provider_tokens),
+        early_pairs=tuple(pair for pair in unsent if pair[1] in start),
     )
 
 
@@ -168,6 +178,7 @@ def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> Si
         max_output_tokens=plan.model.max_output_tokens,
         steps=tuple(steps),
         dependency_misses=len(missed_pairs),
+        early_dependencies=len(layout.early_pairs),
         lost_tokens=sum(compress(layout.provider_tokens, missed)),
         output_overflow_tokens=layout.overflow,
         missed_pairs=missed_pairs,

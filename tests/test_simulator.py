@@ -70,6 +70,7 @@ def fifo_replay(plan: ConversationPlan, cw: int) -> SimulationReport:
 
     steps: list[SimulationStep] = []
     missed_pairs: list[tuple[str, str]] = []
+    not_yet_sent: list[tuple[str, str]] = []
     lost_tokens = 0
     overflow = 0
     oversized: list[int] = []
@@ -114,6 +115,8 @@ def fifo_replay(plan: ConversationPlan, cw: int) -> SimulationReport:
                 if provider in sent and provider not in in_window:
                     missed_pairs.append((element_id, provider))
                     lost_tokens += counts[provider]
+                elif provider not in sent:
+                    not_yet_sent.append((element_id, provider))
 
         steps.append(
             SimulationStep(
@@ -133,6 +136,8 @@ def fifo_replay(plan: ConversationPlan, cw: int) -> SimulationReport:
         max_output_tokens=plan.model.max_output_tokens,
         steps=tuple(steps),
         dependency_misses=len(missed_pairs),
+        # a provider first sent in a later piece
+        early_dependencies=sum(provider in sent for _, provider in not_yet_sent),
         lost_tokens=lost_tokens,
         output_overflow_tokens=overflow,
         missed_pairs=tuple(missed_pairs),
@@ -325,6 +330,23 @@ def test_step_accounting():
     assert run.steps[0].tokens_out == 7
     assert run.steps[1].tokens_in == 3 + 9
     assert run.steps[1].tokens_out == 9
+
+
+def test_early_pairs_name_consumers_sent_ahead_of_their_provider(spacecraft, mistral):
+    # the coupled group {F, H} split across pieces 2 and 3: F is answered without H
+    split = [["A", "B"], ["C", "G", "F"], ["H"], ["D", "E", "I", "J", "L", "K"], ["M"]]
+    plan = _manual_plan(spacecraft, split, mistral)
+    assert plan._layout.early_pairs == (("F", "H"),)
+    assert {simulate(plan, context_window=cw).early_dependencies for cw in (4000, 32000)} == {1}
+    whole = _manual_plan(spacecraft, [["A", "B"], ["C", "G", "F", "H"], *split[3:]], mistral)
+    assert whole._layout.early_pairs == ()
+
+
+def test_a_provider_never_sent_is_no_early_pair():
+    conv = _conversation({"a": 5, "b": 5, "c": 5}, {"b": ("a", "c")})
+    plan = _manual_plan(conv, [["b"], ["c"]], ModelSpec("m", 1000, 1000))
+    assert plan._layout.early_pairs == (("b", "c"),)
+    assert simulate(plan).early_dependencies == 1
 
 
 @pytest.mark.parametrize(
