@@ -103,6 +103,15 @@ class ConversationPlan:
     config: BudgetConfig
     conversation: ConversationModel
 
+    def __post_init__(self) -> None:
+        # the one first-piece rule: window_budget charges USt once, lay_out
+        # charges it with each flagged piece, and this keeps the two equal
+        for k, piece in enumerate(self.pieces[1:], start=2):
+            if piece.includes_user_statement:
+                raise ValueError(f"piece {k} carries the user statement; only the first piece may")
+        if self.pieces and self.conversation.user_statement_tokens and not self.pieces[0].includes_user_statement:
+            raise ValueError("the first piece must carry the conversation's user statement")
+
     @cached_property
     def _layout(self) -> PlanLayout:
         """The plan laid out as one token stream, window-free (see
@@ -167,7 +176,9 @@ def output_budget(piece: ConversationPiece, config: BudgetConfig, spec: ModelSpe
 
 
 def window_budget(plan: ConversationPlan) -> tuple[int, int]:
-    """(WB, CW - WB) for the whole conversation; instructions charged per piece."""
+    """(WB, CW - WB) for the whole conversation; instructions charged per piece,
+    the user statement once (a :class:`ConversationPlan` flags only its first
+    piece with it)."""
     total = (
         plan.conversation.user_statement_tokens
         + len(plan.pieces) * plan.config.instructions_per_piece

@@ -15,6 +15,7 @@ from dsmplan.manifest import ConversationElement, ConversationModel
 from dsmplan.planning import (
     BudgetConfig,
     ConversationPiece,
+    ConversationPlan,
     ModelSpec,
     budget_report,
     default_model_catalog,
@@ -503,6 +504,36 @@ def test_piece_validation():
     for gm, fm, field in ((1.5, 0, "gm_tokens"), (0, True, "fm_tokens"), (0, 2.0, "fm_tokens")):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ConversationPiece(("a",), gm, fm)
+
+
+def _flagged_plan(flags: tuple[bool, ...], ust: int) -> ConversationPlan:
+    conv = ConversationModel(
+        elements=tuple(ConversationElement(id=f"e{k}", label=f"e{k}", token_count=10) for k in range(len(flags))),
+        user_statement_tokens=ust,
+    )
+    pieces = tuple(ConversationPiece((f"e{k}",), 10, 10, flag) for k, flag in enumerate(flags))
+    config = BudgetConfig(margin=0.0, instructions_per_piece=3)
+    return ConversationPlan(pieces, ModelSpec("m", 1000, 1000), config, conv)
+
+
+@pytest.mark.parametrize(
+    "flags,ust,message",
+    [
+        ((True, True), 5, "piece 2 carries the user statement"),
+        ((True, False, True), 0, "piece 3 carries the user statement"),
+        ((False, True), 5, "piece 2 carries the user statement"),
+        ((False, False), 5, "the first piece must carry"),
+    ],
+)
+def test_plan_rejects_a_user_statement_off_the_first_piece(flags, ust, message):
+    with pytest.raises(ValueError, match=message):
+        _flagged_plan(flags, ust)
+
+
+@pytest.mark.parametrize("flags,ust", [((True, False), 5), ((True, False), 0), ((False, False), 0)])
+def test_window_budget_and_stream_charge_the_user_statement_alike(flags, ust):
+    plan = _flagged_plan(flags, ust)
+    assert window_budget(plan)[0] == plan._layout.piece_ends[-1]  # at margin 0, WB is the whole stream
 
 
 def test_budget_config_validation():
