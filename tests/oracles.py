@@ -1,5 +1,5 @@
-"""Test oracles: the dense ``Dsm`` constructor, and the exhaustive clustering
-oracle.
+"""Test oracles: the dense ``Dsm`` constructor, the exhaustive clustering
+oracle, and the two-pass piece cutter.
 
 :func:`dense` builds a Dsm from an (n, n) matrix once its shape is checked.
 It is how most tests write a small matrix, and the reference that
@@ -11,6 +11,12 @@ with the library's own direct summation, so it checks the search, not the
 scorer; the scorer has its own straight-from-the-definition oracle in
 ``test_clustering.py``.  Its cost grows with the Bell numbers (115 975
 partitions at n = 10), so keep n small.
+
+:func:`run_then_split` cuts pieces the way ``make_pieces`` once did, in two
+passes: maximal cluster runs of the sequence first, then a greedy split of
+each run at the cap.  It knows nothing of coupled groups, so it gives
+``make_pieces``'s pieces exactly when no coupled group that fits the cap is
+cut by a run or cap boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ import numpy as np
 
 from dsmplan.clustering import ClusterAssignment, ClusterParams, _finalize, _score, _token_vector
 from dsmplan.dsm import NUMERICAL, Dsm
-from dsmplan.errors import NonSquare
+from dsmplan.errors import NonSquare, UnsplittablePiece
+from dsmplan.sequencing import SequencingResult
 
 
 def dense(ids: Iterable[str], weights, kind: str = NUMERICAL) -> Dsm:
@@ -92,3 +99,41 @@ def brute_force_cluster(
     if best_labels is None:
         raise ValueError("no assignment satisfies max_cluster_tokens")
     return _finalize(dsm, best_labels, params, tok)
+
+
+def run_then_split(
+    seq: SequencingResult, clusters: ClusterAssignment, counts: Mapping[str, int], cap: int
+) -> list[tuple[str, ...]]:
+    """The element ids of each piece: a maximal run of the sequence sharing one
+    multi-member cluster, or of consecutive singletons, split greedily so no
+    chunk's GM exceeds ``cap``.  Raises UnsplittablePiece at the first element
+    above the cap."""
+    sizes: dict[int, int] = {}
+    for index in clusters.cluster_of.values():
+        sizes[index] = sizes.get(index, 0) + 1
+    runs: list[list[str]] = []
+    run_key: object = None
+    for element_id in seq.sequenced_ids():
+        index = clusters.cluster_of[element_id]
+        key = index if sizes[index] > 1 else "singletons"
+        if not runs or key != run_key:
+            runs.append([])
+            run_key = key
+        runs[-1].append(element_id)
+
+    chunks: list[tuple[str, ...]] = []
+    for run in runs:
+        current: list[str] = []
+        current_gm = 0
+        for element_id in run:
+            tokens = counts[element_id]
+            if tokens > cap:
+                raise UnsplittablePiece(element_id)
+            if current and current_gm + tokens > cap:
+                chunks.append(tuple(current))
+                current, current_gm = [], 0
+            current.append(element_id)
+            current_gm += tokens
+        if current:
+            chunks.append(tuple(current))
+    return chunks

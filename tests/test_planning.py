@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import groupby
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsmplan.clustering import ClusterParams, assignment_from_groups
@@ -35,6 +35,7 @@ from dsmplan.planning import (
 from dsmplan.sequencing import sequence
 
 from conftest import REFERENCE_GROUPS
+from oracles import run_then_split
 
 _MARGINS = [0.0, 0.05, 0.1, 0.15, 0.33, 0.5]
 
@@ -354,6 +355,94 @@ def test_make_pieces_reads_the_counts_once(spacecraft, spacecraft_dsm, mistral, 
     clusters = assignment_from_groups(spacecraft_dsm, REFERENCE_GROUPS)
     make_pieces(spacecraft, sequence(spacecraft_dsm), clusters, fixture_config, mistral)
     assert calls == [spacecraft]
+
+
+@pytest.mark.parametrize(
+    "ol,want",
+    [
+        (1000, [["a", "b", "c"], ["d"]]),  # the group joins its first member's piece
+        (10, [["a"], ["b", "c"], ["d"]]),  # the group fits, but not beside a
+        (9, [["a"], ["b"], ["c"], ["d"]]),  # above the cap: cut element by element
+    ],
+)
+def test_coupled_group_fitting_the_cap_stays_in_one_piece(ol, want):
+    # b and c depend on each other, and the clusters part them
+    conv = _conversation({"a": 5, "b": 5, "c": 5, "d": 5}, {"b": ("a", "c"), "c": ("b",), "d": ("c",)})
+    d = build_dsm(conv.elements)
+    clusters = assignment_from_groups(d, [["a", "b"], ["c", "d"]])
+    plan = make_pieces(conv, sequence(d), clusters, BudgetConfig(margin=0.0), ModelSpec("m", 1000, ol))
+    assert [list(p.element_ids) for p in plan.pieces] == want
+
+
+@st.composite
+def coupled_conversations(draw, max_n=10):
+    """A conversation whose dependencies run both ways, so sequencing finds
+    coupled groups, with counts of up to 40 tokens (zero included)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    ids = [f"e{k}" for k in range(n)]
+    counts = {e: draw(st.integers(min_value=0, max_value=40)) for e in ids}
+    deps = {
+        e: tuple(d for d in draw(st.lists(st.sampled_from(ids), max_size=4, unique=True)) if d != e)
+        for e in ids
+    }
+    return _conversation(counts, deps)
+
+
+def _within(groups, pieces) -> bool:
+    """Every group lies inside one piece."""
+    piece_of = {e: k for k, piece in enumerate(pieces) for e in piece}
+    return all(len({piece_of[e] for e in group}) == 1 for group in groups)
+
+
+@given(coupled_conversations(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_walk_matches_run_then_split_when_no_group_is_cut(conv, data):
+    d = build_dsm(conv.elements)
+    seq = sequence(d)
+    counts = conv.token_counts()
+    labels = {e: data.draw(st.integers(min_value=0, max_value=3)) for e in conv.element_ids}
+    if data.draw(st.booleans()):  # each coupled group inside one cluster, so no run boundary cuts it
+        for group in seq.cycles:
+            labels.update((e, labels[group[0]]) for e in group)
+    groups = [[e for e in conv.element_ids if labels[e] == k] for k in set(labels.values())]
+    clusters = assignment_from_groups(d, groups)
+    # now and then below the largest count, so UnsplittablePiece is checked too
+    offset = data.draw(st.sampled_from([-1, 0]) | st.integers(min_value=-8, max_value=60))
+    cap = max(1, max(counts.values()) + offset)
+    config, spec = BudgetConfig(margin=0.0), ModelSpec("m", 10**6, cap)
+    assert max_piece_tokens(config, spec) == cap
+    try:
+        oracle = run_then_split(seq, clusters, counts, cap)
+    except UnsplittablePiece as exc:
+        with pytest.raises(UnsplittablePiece) as raised:
+            make_pieces(conv, seq, clusters, config, spec)
+        assert raised.value.element_id == exc.element_id
+        return
+    pieces = [p.element_ids for p in make_pieces(conv, seq, clusters, config, spec).pieces]
+    fitting = [group for group in seq.cycles if sum(counts[e] for e in group) <= cap]
+    assert _within(fitting, pieces)
+    assert all(sum(counts[e] for e in piece) <= cap for piece in pieces)
+    assert tuple(e for piece in pieces for e in piece) == seq.sequenced_ids()
+    if _within(fitting, oracle):
+        assert pieces == oracle
+
+
+@given(coupled_conversations(), st.integers(min_value=40, max_value=120), st.integers(min_value=0, max_value=10**4))
+@settings(max_examples=150, deadline=None)
+def test_planned_pieces_keep_fitting_groups_whole(conv, cap, seed):
+    config, spec = BudgetConfig(margin=0.0), ModelSpec("m", 10**6, cap)
+    params = ClusterParams(seed=seed, restarts=2, iterations_per_restart=50)
+    seq, _, plan = plan_conversation(conv, params, config, spec)
+    counts = conv.token_counts()
+    pieces = [p.element_ids for p in plan.pieces]
+    assert _within([g for g in seq.cycles if sum(counts[e] for e in g) <= cap], pieces)
+    # a consumer is sent ahead of its provider only inside a group above the
+    # cap, or when the provider has no tokens: build_dsm leaves no mark for
+    # it, so sequencing does not order the two
+    group_of = {e: group for group in seq.cycles for e in group}
+    for consumer, provider in plan._layout.early_pairs:
+        group = group_of.get(consumer, ())
+        assert counts[provider] == 0 or (provider in group and sum(counts[e] for e in group) > cap)
 
 
 def test_naive_plan_is_one_unsplit_piece(naive_plan, spacecraft):
