@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -104,8 +105,7 @@ class ConversationPlan:
     conversation: ConversationModel
 
     def __post_init__(self) -> None:
-        # the one first-piece rule: window_budget charges USt once, lay_out
-        # charges it with each flagged piece, and this keeps the two equal
+        # window_budget charges USt once, lay_out with each flagged piece: keep them equal
         for k, piece in enumerate(self.pieces[1:], start=2):
             if piece.includes_user_statement:
                 raise ValueError(f"piece {k} carries the user statement; only the first piece may")
@@ -177,8 +177,7 @@ def output_budget(piece: ConversationPiece, config: BudgetConfig, spec: ModelSpe
 
 def window_budget(plan: ConversationPlan) -> tuple[int, int]:
     """(WB, CW - WB) for the whole conversation; instructions charged per piece,
-    the user statement once (a :class:`ConversationPlan` flags only its first
-    piece with it)."""
+    the user statement once."""
     total = (
         plan.conversation.user_statement_tokens
         + len(plan.pieces) * plan.config.instructions_per_piece
@@ -227,21 +226,18 @@ def make_pieces(
 ) -> ConversationPlan:
     """Cut the sequenced conversation into pieces in one walk of the sequence.
 
-    The walk takes one unit at a time: a coupled group (``seq.cycles``) whose
-    GM fits :func:`max_piece_tokens`, so no boundary falls inside it, or else
-    one element.  A unit's run key is the cluster of its first element when
-    that cluster has more than one member, else one key shared by all
-    singletons.  A piece ends where the key changes, or where the next unit
-    would push its GM above the cap.  The user statement rides along with the
-    first piece.
+    A unit is a coupled group (``seq.cycles``) whose GM fits
+    :func:`max_piece_tokens`, else one element; its run key is its first
+    element's cluster if that has several members, else "singletons".  A piece
+    ends where the key changes or where the next unit would push its GM above
+    the cap, so no boundary falls inside a group that fits.  The user
+    statement rides along with the first piece.
     """
     ids = set(conversation.element_ids)
     if ids != set(seq.element_ids) or ids != set(clusters.cluster_of):
         raise ValueError("sequence and clusters must cover exactly the conversation elements")
     counts = conversation.token_counts()
-    cluster_sizes: dict[int, int] = {}
-    for index in clusters.cluster_of.values():
-        cluster_sizes[index] = cluster_sizes.get(index, 0) + 1
+    cluster_sizes = Counter(clusters.cluster_of.values())
 
     cap = max_piece_tokens(config, spec)
     whole = {group[0]: len(group) for group in seq.cycles if sum(counts[e] for e in group) <= cap}
@@ -254,7 +250,7 @@ def make_pieces(
         unit = order[i : i + whole.get(order[i], 1)]
         i += len(unit)
         tokens = sum(counts[e] for e in unit)
-        if tokens > cap:  # only a lone element can be
+        if tokens > cap:
             raise UnsplittablePiece(unit[0])
         index = clusters.cluster_of[unit[0]]
         key = index if cluster_sizes[index] > 1 else "singletons"

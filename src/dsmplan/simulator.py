@@ -26,8 +26,8 @@ counts them.
 The simulation therefore has two parts.  :func:`lay_out` walks the plan once,
 without a window: entry offsets, each piece's start and end, the
 output-overflow total, every pair that can be missed with its need, and the
-early pairs.  The layout is cached on the frozen plan (outside ``==``, ``hash`` and ``repr``),
-so a sweep lays a plan out once.  Per window, :func:`simulate` then costs one
+early pairs.  The layout is cached on the frozen plan (outside ``==``,
+``hash`` and ``repr``), so a sweep lays a plan out once.  Per window, :func:`simulate` then costs one
 bisection per piece for the evictions (the head only moves forward), one
 comparison per piece for oversized pieces, and one per pair for the misses.
 :func:`loss_curve` sorts the needs instead, and gives misses and lost tokens
