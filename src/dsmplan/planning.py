@@ -176,8 +176,7 @@ def output_budget(piece: ConversationPiece, config: BudgetConfig, spec: ModelSpe
 
 
 def window_budget(plan: ConversationPlan) -> tuple[int, int]:
-    """(WB, CW - WB) for the whole conversation; instructions charged per piece,
-    the user statement once."""
+    """(WB, CW - WB) for the whole conversation: USt once, IntLLM per piece."""
     total = (
         plan.conversation.user_statement_tokens
         + len(plan.pieces) * plan.config.instructions_per_piece
@@ -227,11 +226,11 @@ def make_pieces(
     """Cut the sequenced conversation into pieces in one walk of the sequence.
 
     A unit is a coupled group (``seq.cycles``) whose GM fits
-    :func:`max_piece_tokens`, else one element; its run key is its first
+    :func:`max_piece_tokens`, else one element, and its run key is its first
     element's cluster if that has several members, else "singletons".  A piece
-    ends where the key changes or where the next unit would push its GM above
-    the cap, so no boundary falls inside a group that fits.  The user
-    statement rides along with the first piece.
+    ends where the key changes or the next unit would push its GM above the
+    cap, so no boundary falls inside a group that fits.  The user statement
+    rides along with the first piece.
     """
     ids = set(conversation.element_ids)
     if ids != set(seq.element_ids) or ids != set(clusters.cluster_of):
@@ -240,25 +239,27 @@ def make_pieces(
     cluster_sizes = Counter(clusters.cluster_of.values())
 
     cap = max_piece_tokens(config, spec)
-    whole = {group[0]: len(group) for group in seq.cycles if sum(counts[e] for e in group) <= cap}
+    # first member -> (size, GM) of each coupled group whose GM fits the cap
+    weighed = ((group, sum(counts[e] for e in group)) for group in seq.cycles)
+    whole = {group[0]: (len(group), tokens) for group, tokens in weighed if tokens <= cap}
     order = seq.sequenced_ids()
     chunks: list[list[str]] = []
     run_key: object = None
     gm = 0
     i = 0
     while i < len(order):
-        unit = order[i : i + whole.get(order[i], 1)]
-        i += len(unit)
-        tokens = sum(counts[e] for e in unit)
+        first = order[i]
+        size, tokens = whole.get(first) or (1, counts[first])
         if tokens > cap:
-            raise UnsplittablePiece(unit[0])
-        index = clusters.cluster_of[unit[0]]
+            raise UnsplittablePiece(first)
+        index = clusters.cluster_of[first]
         key = index if cluster_sizes[index] > 1 else "singletons"
         if not chunks or key != run_key or gm + tokens > cap:
             chunks.append([])
             run_key, gm = key, 0
-        chunks[-1].extend(unit)
+        chunks[-1].extend(order[i : i + size])
         gm += tokens
+        i += size
     return _plan([tuple(chunk) for chunk in chunks], conversation, counts, config, spec)
 
 
