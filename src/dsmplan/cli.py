@@ -26,7 +26,7 @@ from typing import Any, NamedTuple, TextIO
 from .clustering import SIZE_MODE_COUNT, SIZE_MODE_TOKENS, ClusterParams
 from .data import MODEL_CATALOG
 from .dsm import Dsm, _csv_lines, build_dsm, permute, to_binary
-from .errors import DsmPlanError, ParseError, UnsplittablePiece
+from .errors import ParseError, UnsplittablePiece
 from .manifest import ConversationModel, parse_manifest, read_json_file
 from .planning import (
     BudgetConfig,
@@ -562,12 +562,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         settings = _merge(args)
         return args.func(settings)
-    except UnsplittablePiece as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DsmPlanError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UnsplittablePiece) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

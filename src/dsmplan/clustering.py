@@ -378,10 +378,11 @@ def assignment_from_groups(
     so costs are comparable.
     """
     params = params or ClusterParams()
+    known = set(dsm.element_ids)
     flat: dict[str, int] = {}
     for index, group in enumerate(groups):
         for element_id in group:
-            if element_id in flat or element_id not in dsm.positions:
+            if element_id in flat or element_id not in known:
                 raise ValueError(f"groups must cover each element exactly once; bad id {element_id!r}")
             flat[element_id] = index
     missing = tuple(e for e in dsm.element_ids if e not in flat)

@@ -55,7 +55,6 @@ class Dsm:
     kind: str
     # (rows, cols, vals) of the nonzero cells, row-major; see the module docstring
     marks: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] = field(repr=False)
-    positions: dict[str, int] = field(repr=False)  # id -> row/column
 
     def __init__(self, element_ids: Iterable[str], marks: tuple[Sequence[int], ...], kind: str = NUMERICAL) -> None:
         """A Dsm from its marks: mark k has weight ``vals[k]`` at row ``rows[k]``,
@@ -63,11 +62,11 @@ class Dsm:
         sorted by position (``row * n + col``) as parallel sequences, in about
         linear time on marks that come row by row, as all but :func:`permute` give them."""
         ids = tuple(element_ids)
-        positions: dict[str, int] = {}
+        seen: set[str] = set()
         for element_id in ids:
-            if element_id in positions:
+            if element_id in seen:
                 raise DuplicateId(element_id)
-            positions[element_id] = len(positions)
+            seen.add(element_id)
         n = len(ids)
         rows, cols, vals = marks
         if not len(rows) == len(cols) == len(vals):
@@ -98,7 +97,6 @@ class Dsm:
         object.__setattr__(self, "element_ids", ids)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "marks", (tuple(kept_rows), tuple(kept_cols), tuple(kept_vals)))
-        object.__setattr__(self, "positions", positions)
 
     def _dense_rows(self, zero: str, mark: Callable[[int], str]) -> Iterator[list[str]]:
         """The dense matrix one row at a time, built from the row-major marks:

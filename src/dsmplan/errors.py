@@ -1,9 +1,9 @@
 """Structured exceptions shared across the package.
 
-Everything raised on bad input derives from DsmPlanError so callers (and the
-CLI) can catch one type and report instead of crashing.  :func:`require_int`
-is the integer check that the public dataclasses share, and :func:`all_ints`
-the same rule over a long sequence.
+Everything raised on bad input is a ValueError (DsmPlanError, the base of
+the errors below, derives from it), so callers and the CLI catch one type.
+:func:`require_int` is the integer check that the public dataclasses share,
+and :func:`all_ints` the same rule over a long sequence.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ def all_ints(values: Iterable[Any]) -> bool:
     return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, values)))
 
 
-class DsmPlanError(Exception):
-    """Base class for all errors raised by this package."""
+class DsmPlanError(ValueError):
+    """Base class of the structured errors raised by this package."""
 
 
 class ParseError(DsmPlanError):

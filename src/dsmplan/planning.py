@@ -105,18 +105,27 @@ class ConversationPlan:
     conversation: ConversationModel
 
     def __post_init__(self) -> None:
+        """The plan-shape rules, user statement first: each element sent is known
+        and sent once; some may be left out.  ValueError names the first fault."""
         # window_budget charges USt once, lay_out with each flagged piece: keep them equal
         for k, piece in enumerate(self.pieces[1:], start=2):
             if piece.includes_user_statement:
                 raise ValueError(f"piece {k} carries the user statement; only the first piece may")
         if self.pieces and self.conversation.user_statement_tokens and not self.pieces[0].includes_user_statement:
             raise ValueError("the first piece must carry the conversation's user statement")
+        unsent = set(self.conversation.element_ids)
+        for k, piece in enumerate(self.pieces, start=1):
+            for element_id in piece.element_ids:
+                if element_id not in unsent:
+                    if element_id in self.conversation.element_ids:
+                        raise ValueError(f"piece {k} sends {element_id!r} a second time")
+                    raise ValueError(f"piece {k} names {element_id!r}, which is not in the conversation")
+                unsent.remove(element_id)
 
     @cached_property
     def _layout(self) -> PlanLayout:
-        """The plan laid out as one token stream, window-free (see
-        :mod:`dsmplan.simulator`): built on first read and cached, outside
-        ``==``, ``hash`` and ``repr``."""
+        """The window-free token stream (see :mod:`dsmplan.simulator`), built on
+        first read and cached outside ``==``, ``hash`` and ``repr``."""
         from .simulator import lay_out  # deferred: the simulator imports this module
 
         return lay_out(self)

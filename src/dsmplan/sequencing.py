@@ -4,8 +4,9 @@ Dependencies point column-to-row: an edge j -> i exists when cell [i][j] is
 nonzero.  Sequencing condenses strongly connected components (coupled element
 groups that cannot be serialized) and levels the resulting DAG by longest path
 from the sources.  Flattening the levels gives an order in which every
-provider precedes its consumers except inside cycles.  Both
-:func:`sequence` and :func:`reachability` read the edges from the DSM's
+provider precedes its consumers, except inside cycles and for a provider of
+0 tokens, which leaves no mark in :func:`~dsmplan.dsm.build_dsm`'s matrix.
+Both :func:`sequence` and :func:`reachability` read the edges from the DSM's
 marks and walk its strongly connected components in Tarjan's order:
 sequencing runs in O(n + marks), and reachability, which keeps each
 element's closure as a Python-int bitset, in O(n + marks) big-int ORs.
@@ -110,7 +111,8 @@ def sequence(dsm: Dsm) -> SequencingResult:
     Components with no external providers sit at level 1; every other
     component sits one past its deepest provider component.  Within a level,
     components (and elements inside a component) keep manifest order; coupled
-    groups stay contiguous.
+    groups stay contiguous.  So providers precede their consumers outside
+    coupled groups, except a 0-token provider, which leaves no mark to order.
     """
     n = dsm.n
     rows, cols, _ = dsm.marks

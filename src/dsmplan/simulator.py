@@ -85,10 +85,7 @@ class PlanLayout(NamedTuple):
 def lay_out(plan: ConversationPlan) -> PlanLayout:
     """Walk ``plan`` once and lay it out; read it as the plan's cached ``_layout``.
 
-    A malformed plan, one that sends an element twice or one the conversation
-    does not have, raises ValueError at the first such element; nothing is
-    cached then, so every later read raises again.  A piece too large for
-    some window is no fault here: the layout does not depend on the window.
+    A piece too large for some window is no fault: the layout does not depend on the window.
     """
     counts = plan.conversation.token_counts()
     deps = plan.conversation.dependencies()
@@ -106,17 +103,12 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
     overflow = 0
     end = 0  # stream offset after the last entry sent
 
-    for k, piece in enumerate(plan.pieces):
+    for piece in plan.pieces:
         piece_start = end
         end += (ust if piece.includes_user_statement else 0) + inst
         for element_id in piece.element_ids:
-            tokens = counts.get(element_id)
-            if tokens is None:
-                raise ValueError(f"piece {k + 1} names {element_id!r}, which is not in the conversation")
-            if element_id in start:
-                raise ValueError(f"piece {k + 1} sends {element_id!r} a second time")
             start[element_id] = end
-            end += tokens
+            end += counts[element_id]
         end += piece.fm_tokens
         piece_starts.append(piece_start)
         piece_ends.append(end)
@@ -152,7 +144,7 @@ def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> Si
     supports sweeps below the model's output limit.  A piece that cannot fit
     the window even on its own is run all the same, evicting its own earliest
     entries, and listed in ``oversized_piece_indices``.  ValueError is raised
-    only for a window that is no positive int, or a malformed plan (:func:`lay_out`).
+    only for a window that is no positive int.
     """
     cw = plan.model.context_window if context_window is None else context_window
     require_int("context_window", cw)
@@ -215,7 +207,7 @@ class LossCurve(NamedTuple):
 
 
 def loss_curve(plan: ConversationPlan) -> LossCurve:
-    """The plan's loss curve; a malformed plan raises ValueError as in :func:`simulate`."""
+    """The plan's loss curve; it never raises."""
     layout = plan._layout
     ranked = sorted(zip(layout.needs, layout.provider_tokens))
     provider_tokens = tuple(tokens for _, tokens in ranked)

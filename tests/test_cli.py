@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dsmplan import BudgetConfig, ClusterParams, ConversationModel, ModelSpec
+from dsmplan import BudgetConfig, ClusterParams, ConversationModel, ModelSpec, errors
 from dsmplan.cli import main
 from dsmplan.data import (
     SPACECRAFT_DSM_BINARY,
@@ -255,6 +255,13 @@ def test_an_element_above_the_piece_cap_exits_one(capsys, command):
     code, out, err = run_cli(capsys, command, "--manifest", MANIFEST, "--ol", "100")
     assert (code, out) == (1, "")
     assert err == "error: element 'A' alone exceeds the output budget and cannot be split\n"
+
+
+def test_every_package_error_is_a_value_error():
+    # main catches ValueError once, after UnsplittablePiece (exit 1): every other bad input exits 2
+    found = [obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, errors.DsmPlanError)]
+    assert len(found) > 10
+    assert all(issubclass(error, ValueError) for error in found)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_build_dsm_columns_carry_provider_tokens(spacecraft, spacecraft_dsm):
         column = d.weights[:, j]
         assert set(np.unique(column)) <= {0, counts[provider]}
     # spot checks: D depends on C, M depends on K
-    at = d.positions
+    at = {element_id: k for k, element_id in enumerate(d.element_ids)}
     assert d.weights[at["D"], at["C"]] == 3082
     assert d.weights[at["M"], at["K"]] == 239
     assert d.weights[at["A"], at["B"]] == 0

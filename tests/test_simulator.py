@@ -19,6 +19,7 @@ from dsmplan.planning import (
     ModelSpec,
     output_budget,
     plan_conversation,
+    window_budget,
 )
 from dsmplan.simulator import SimulationReport, SimulationStep, compare, loss_curve, simulate
 
@@ -362,10 +363,8 @@ def test_malformed_plan_is_rejected(piece_ids, message):
         ConversationPiece((e,), 10, 10, includes_user_statement=(k == 0))
         for k, (e,) in enumerate(piece_ids)
     )
-    plan = ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
-    for cw in (50, 60, 70, 80):
-        with pytest.raises(ValueError, match=message):
-            simulate(plan, context_window=cw)
+    with pytest.raises(ValueError, match=message):
+        ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
 
 
 def test_oversized_piece_reported_or_raised(naive_plan):
@@ -565,6 +564,14 @@ def test_loss_curve_matches_needs_and_replay(plan):
     assert window == max(needs.values(), default=0)
 
 
+@given(any_order_plan())
+@settings(max_examples=150)
+def test_window_budget_at_margin_0_is_the_whole_stream(plan):
+    # WB charges USt once and the stream with the first piece: the first-piece rule keeps them equal
+    plan = dataclasses.replace(plan, config=dataclasses.replace(plan.config, margin=0.0))
+    assert window_budget(plan)[0] == plan._layout.piece_ends[-1]
+
+
 def test_annealed_spacecraft_plan_loses_nothing_from_19494_tokens(spacecraft, mistral):
     config = BudgetConfig(margin=0.05, instructions_per_piece=spacecraft.instruction_tokens)
     _, _, plan = plan_conversation(spacecraft, ClusterParams(seed=42), config, mistral)
@@ -625,7 +632,7 @@ def test_a_sweep_lays_the_plan_out_once(reference_plan, monkeypatch):
 @pytest.mark.parametrize(
     "piece_ids,message",
     [
-        # an oversized piece before the fault, at it, or after it changes nothing
+        # a large piece before the fault, at it, or after it changes nothing: no window is involved
         pytest.param([["big"], ["a"], ["z"]], "piece 3 names 'z', which is not in the conversation", id="big-before-unknown"),
         pytest.param([["big"], ["a"], ["a"]], "piece 3 sends 'a' a second time", id="big-before-resent"),
         pytest.param([["big", "a", "a"]], "piece 1 sends 'a' a second time", id="big-at-resent"),
@@ -634,29 +641,37 @@ def test_a_sweep_lays_the_plan_out_once(reference_plan, monkeypatch):
     ],
 )
 def test_first_fault_in_piece_order_decides_the_error(piece_ids, message):
-    plan = _faulty_plan(piece_ids)
-    for cw in (100, 100, 200, 10**6):  # the repeat: a failed layout is not cached
-        with pytest.raises(ValueError) as raised:
-            simulate(plan, context_window=cw)
-        assert str(raised.value) == message
     with pytest.raises(ValueError) as raised:
-        loss_curve(plan)
+        _faulty_plan(piece_ids)
     assert str(raised.value) == message
 
 
-def _faulty_plan(piece_ids) -> ConversationPlan:
+@pytest.mark.parametrize(
+    "flags,ust,message",
+    [
+        ((False, False), 5, "the first piece must carry the conversation's user statement"),
+        ((True, True), 0, "piece 2 carries the user statement; only the first piece may"),
+    ],
+)
+def test_a_first_piece_fault_comes_before_an_unknown_element(flags, ust, message):
+    with pytest.raises(ValueError) as raised:
+        _faulty_plan([["a"], ["z"]], flags, ust)
+    assert str(raised.value) == message
+
+
+def test_replace_cannot_send_an_element_twice(reference_plan):
+    first = reference_plan.pieces[0]
+    again = dataclasses.replace(first, includes_user_statement=False)
+    with pytest.raises(ValueError) as raised:
+        dataclasses.replace(reference_plan, pieces=(*reference_plan.pieces, again))
+    assert str(raised.value) == f"piece {len(reference_plan.pieces) + 1} sends {first.element_ids[0]!r} a second time"
+
+
+def _faulty_plan(piece_ids, flags=None, ust=0) -> ConversationPlan:
     """A plan over elements "a" (10 tokens) and "big" (500) that may send an
-    unknown "z" or an element twice."""
-    conv = _conversation({"a": 10, "big": 500})
-    pieces = tuple(
-        ConversationPiece(tuple(ids), 10, 10, includes_user_statement=(k == 0))
-        for k, ids in enumerate(piece_ids)
-    )
+    unknown "z" or an element twice; by default only the first piece carries
+    the user statement."""
+    conv = _conversation({"a": 10, "big": 500}, ust=ust)
+    flags = flags or [k == 0 for k in range(len(piece_ids))]
+    pieces = tuple(ConversationPiece(tuple(ids), 10, 10, flag) for ids, flag in zip(piece_ids, flags))
     return ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
-
-
-def test_malformed_plan_has_no_loss_curve():
-    plan = _faulty_plan([["big"], ["a"], ["a"]])
-    for _ in range(2):
-        with pytest.raises(ValueError, match="'a' a second time"):
-            loss_curve(plan)
