@@ -35,7 +35,7 @@ _EXPORTS = {
         "to_binary",
         "write_dsm_csv",
     ),
-    "manifest": ("ConversationElement", "ConversationModel", "parse_manifest"),
+    "manifest": ("ConversationElement", "ConversationModel", "load_token_table", "parse_manifest"),
     "planning": (
         "BudgetConfig",
         "ConversationPiece",
@@ -57,7 +57,7 @@ _EXPORTS = {
     ),
     "sequencing": ("SequencingResult", "reachability", "sequence"),
     "simulator": ("LossCurve", "MetricDelta", "SimulationReport", "SimulationStep", "compare", "loss_curve", "simulate"),
-    "tokens": ("count_tokens_approx", "load_token_table"),
+    "tokens": ("count_tokens_approx",),
 }
 _HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 # the submodules that resolve as attributes before anything imports them

@@ -7,8 +7,7 @@ Each setting is declared once, in ``_SETTINGS``; the defaults of the search
 and budget settings are those of :class:`ClusterParams` and
 :class:`BudgetConfig`.  Every setting, whether from a flag or ``--config``,
 is checked whichever subcommand runs, by the rules of the library object
-that holds it; only ``--cw``, ``--ol`` and ``--ust`` are checked by the
-commands that read them.
+that holds it.
 Exit codes: 0 success/feasible, 1 analysis says infeasible (report still
 printed), 2 bad input.  Output for a fixed invocation is byte-identical
 across runs.
@@ -27,7 +26,7 @@ from .clustering import SIZE_MODE_COUNT, SIZE_MODE_TOKENS, ClusterParams
 from .data import MODEL_CATALOG
 from .dsm import Dsm, _csv_lines, build_dsm, permute, to_binary
 from .errors import ParseError, UnsplittablePiece
-from .manifest import ConversationModel, parse_manifest, read_json_file
+from .manifest import ConversationModel, load_token_table, parse_manifest, read_json_file
 from .planning import (
     BudgetConfig,
     ConversationPlan,
@@ -43,7 +42,6 @@ from .planning import (
 )
 from .sequencing import SequencingResult, sequence
 from .simulator import SimulationReport, compare, simulate
-from .tokens import load_token_table
 
 
 class _Setting(NamedTuple):
@@ -207,11 +205,7 @@ def _merge(args: argparse.Namespace) -> dict[str, Any]:
         restarts=settings["restarts"],
     )
     settings["table"] = _provider(settings)
-    catalog = settings["catalog"] or MODEL_CATALOG
-    try:
-        settings["spec"] = find_model(load_model_catalog(catalog), settings["model"])
-    except OSError as exc:
-        raise ParseError(f"cannot read catalog {catalog}: {exc}") from None
+    settings["spec"] = find_model(load_model_catalog(settings["catalog"] or MODEL_CATALOG), settings["model"])
     # each limit alone, as a model with that window and output: positive, but
     # --cw may sit below the model's OL, which simulate accepts
     for limit in (settings["cw"], settings["ol"]):
@@ -227,11 +221,7 @@ def _provider(settings: dict[str, Any]) -> dict[str, int] | None:
     if spec == "approx":
         return None
     if isinstance(spec, str) and spec.startswith("table:"):
-        path = spec[len("table:") :]
-        try:
-            return load_token_table(path)
-        except OSError as exc:
-            raise ParseError(f"cannot read token table {path}: {exc}") from None
+        return load_token_table(spec[len("table:") :])
     raise ParseError(f"--tokens must be 'approx' or 'table:PATH', got {spec!r}")
 
 

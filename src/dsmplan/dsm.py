@@ -41,7 +41,7 @@ from .errors import (
     all_ints,
     require_int,
 )
-from .manifest import ConversationElement, check_references
+from .manifest import ConversationElement, check_references, read_text_file
 
 BINARY = "binary"
 NUMERICAL = "numerical"
@@ -292,4 +292,4 @@ def dsm_from_csv_text(text: str) -> Dsm:
 
 def parse_dsm_csv(path: str | Path) -> Dsm:
     """Parse a DSM from its CSV file form (see :func:`write_dsm_csv`)."""
-    return dsm_from_csv_text(Path(path).read_text(encoding="utf-8-sig"))
+    return dsm_from_csv_text(read_text_file(path, "DSM"))

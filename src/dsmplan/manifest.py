@@ -19,14 +19,19 @@ Schema::
 Without a token table each element needs exactly one of text/tokens; with
 one, the table supplies every count.  A literal token number wins over text
 for the user statement and instructions.
+
+Every input file is read here: :func:`read_text_file` opens it, and
+:func:`read_csv_table` checks the token table and the model catalog.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateId,
@@ -112,17 +117,63 @@ def check_references(elements: Sequence[ConversationElement]) -> dict[str, int]:
     return positions
 
 
-def read_json_file(path: str | Path, what: str) -> Any:
-    """The JSON document in ``path``; any way reading or decoding it fails is a
-    ParseError naming ``what`` (e.g. "manifest")."""
+def read_text_file(path: str | Path, what: str) -> str:
+    """``path`` as UTF-8 text with an optional BOM; the one place the package
+    opens a file.  A read or decode fault is a ParseError naming ``what``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or a NUL in the path
+        raise ParseError(f"{what} {path}: {exc}") from None
+
+
+def read_json_file(path: str | Path, what: str) -> Any:
+    """The JSON document in ``path``; a fault in it is a ParseError naming ``what``."""
+    text = read_text_file(path, what)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} {path}: {exc.msg}", line=exc.lineno) from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deeply, huge integer
+    except (ValueError, RecursionError) as exc:  # nested too deeply, huge integer
         raise ParseError(f"{what} {path}: {exc}") from None
+
+
+def read_csv_table(path: str | Path, what: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` for each row of the CSV file ``path`` after its header,
+    its first non-blank row, which must match ``header`` up to case and spaces.
+    Blank rows are skipped, every other has as many cells, and ``line`` is the
+    physical line that ends it.  Faults surface in file order, as ParseErrors."""
+    reader = csv.reader(io.StringIO(read_text_file(path, what)))
+    rows = ((reader.line_num, row) for row in reader if row and (len(row) > 1 or row[0].strip()))
+    try:
+        line, first = next(rows, (1, []))
+        if [cell.strip().lower() for cell in first] != list(header):
+            raise ParseError(f"expected header {','.join(header)!r}, got {','.join(first)!r}", line=line)
+        for line, row in rows:
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} cells, got {len(row)}", line=line)
+            yield line, row
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{what} {path}: {exc}", line=reader.line_num) from None
+
+
+def load_token_table(path: str | Path) -> dict[str, int]:
+    """Load a CSV token table headed ``id,tokens`` as ``{id: tokens}``."""
+    table: dict[str, int] = {}
+    for line, (element_id, count) in read_csv_table(path, "token table", ("id", "tokens")):
+        element_id = element_id.strip()
+        if element_id in table:
+            raise DuplicateId(element_id)
+        try:
+            tokens = int(count)
+        except ValueError:
+            raise ParseError(f"token count {count!r} is not an integer", line=line) from None
+        if tokens < 0:
+            raise ParseError(f"token count for {element_id!r} is negative", line=line)
+        table[element_id] = tokens
+    return table
 
 
 def _text_field(raw: dict, label: str) -> str | None:
@@ -204,11 +255,11 @@ def _element_tokens(f: _ElementFields, table: Mapping[str, int] | None) -> int:
 def parse_manifest(path: str | Path, table: Mapping[str, int] | None = None) -> ConversationModel:
     """Parse ``path`` into a ConversationModel with resolved token counts.
 
-    With a token ``table`` (``{id: tokens}``, e.g. from
-    :func:`~dsmplan.tokens.load_token_table`) every element's count is its
-    table entry, whatever the manifest says, and an id the table lacks raises
-    MissingTableEntry.  Without one, each element needs a literal ``tokens``
-    or a ``text`` to count, and giving both is a ParseError.
+    With a token ``table`` (``{id: tokens}``, e.g. from :func:`load_token_table`)
+    every element's count is its table entry, whatever the manifest says, and
+    an id the table lacks raises MissingTableEntry.  Without one, each element
+    needs a literal ``tokens`` or a ``text`` to count, and giving both is a
+    ParseError.
 
     Errors come in this order: any malformed element field, then the
     :func:`check_references` errors, then per element in order a text-and-

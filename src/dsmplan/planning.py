@@ -26,7 +26,6 @@ simulator compares FM against ``fm_max``, and nothing else.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -39,7 +38,7 @@ from .clustering import ClusterAssignment, ClusterParams, cluster
 from .data import MODEL_CATALOG
 from .dsm import Dsm, build_dsm
 from .errors import DuplicateModelName, ParseError, UnknownModel, UnsplittablePiece, require_int
-from .manifest import ConversationElement, ConversationModel
+from .manifest import ConversationElement, ConversationModel, read_csv_table
 from .sequencing import SequencingResult, sequence
 
 if TYPE_CHECKING:
@@ -348,20 +347,10 @@ def plan_conversation(
 
 
 def load_model_catalog(path: str | Path) -> tuple[ModelSpec, ...]:
-    """Load ``name,context_window,max_output_tokens`` rows; the first non-blank
-    row must be that header."""
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        numbered = enumerate(csv.reader(handle), start=1)
-        rows = [(n, row) for n, row in numbered if row and (len(row) > 1 or row[0].strip())]
-    expected = ["name", "context_window", "max_output_tokens"]
-    lineno, header = rows[0] if rows else (1, [])
-    if [cell.strip().lower() for cell in header] != expected:
-        raise ParseError(f"expected header {','.join(expected)!r}", line=lineno)
+    """Load the rows of a catalog CSV headed ``name,context_window,max_output_tokens``."""
     specs: list[ModelSpec] = []
     names: set[str] = set()
-    for lineno, row in rows[1:]:
-        if len(row) != 3:
-            raise ParseError(f"expected 3 cells, got {len(row)}", line=lineno)
+    for line, row in read_csv_table(path, "catalog", ("name", "context_window", "max_output_tokens")):
         name = row[0].strip()
         if name in names:
             raise DuplicateModelName(name)
@@ -369,11 +358,11 @@ def load_model_catalog(path: str | Path) -> tuple[ModelSpec, ...]:
         try:
             cw, ol = int(row[1]), int(row[2])
         except ValueError:
-            raise ParseError(f"non-integer limits in row {name!r}", line=lineno) from None
+            raise ParseError(f"non-integer limits in row {name!r}", line=line) from None
         try:
             specs.append(ModelSpec(name=name, context_window=cw, max_output_tokens=ol))
         except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+            raise ParseError(str(exc), line=line) from None
     return tuple(specs)
 
 

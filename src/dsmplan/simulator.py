@@ -137,6 +137,13 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
     )
 
 
+def _check_window(context_window: int) -> None:
+    """The window rule of :func:`simulate` and :meth:`LossCurve.at`: a positive int."""
+    require_int("context_window", context_window)
+    if context_window <= 0:
+        raise ValueError("context window must be positive")
+
+
 def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> SimulationReport:
     """Run ``plan`` through a FIFO window of ``context_window`` tokens.
 
@@ -147,9 +154,7 @@ def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> Si
     only for a window that is no positive int.
     """
     cw = plan.model.context_window if context_window is None else context_window
-    require_int("context_window", cw)
-    if cw <= 0:
-        raise ValueError("context window must be positive")
+    _check_window(cw)
     layout = plan._layout
     piece_starts, piece_ends = layout.piece_starts, layout.piece_ends
     oversized = tuple(k for k, (start, end) in enumerate(zip(piece_starts, piece_ends)) if end - start > cw)
@@ -193,9 +198,7 @@ class LossCurve(NamedTuple):
 
     def at(self, context_window: int) -> tuple[int, int]:
         """``(dependency_misses, lost_tokens)`` of a run at ``context_window``."""
-        require_int("context_window", context_window)
-        if context_window <= 0:
-            raise ValueError("context window must be positive")
+        _check_window(context_window)
         kept = bisect_right(self.needs, context_window)
         return len(self.needs) - kept, self.lost_from[kept]
 

@@ -1,10 +1,8 @@
 """Token counting.
 
-A fast approximation (maximal alphanumeric runs plus punctuation-like
-characters), and a loader for an exact token table: a CSV of ``id,tokens``
-rows read as a plain ``{id: tokens}`` dict.  The approximation is deliberately
-tokenizer-free; when exact counts for a corpus are known they ship as a table
-fixture instead.
+A fast, deliberately tokenizer-free approximation: maximal alphanumeric runs
+plus punctuation-like characters.  Exact counts for a corpus ship as an
+``id,tokens`` table instead, read by :func:`dsmplan.manifest.load_token_table`.
 
 ASCII text is counted on its bytes, with ``bytes.translate`` and
 ``bytes.count`` doing the per-character work in C; any other text is counted
@@ -15,11 +13,6 @@ method agree by construction.
 """
 
 from __future__ import annotations
-
-import csv
-from pathlib import Path
-
-from .errors import DuplicateId, ParseError
 
 # a translate table sending each ASCII byte to b"a" when alphanumeric, else
 # to b" ", so that a run starts at each b" a" (only ASCII text is translated)
@@ -58,29 +51,3 @@ def count_tokens_approx(text: str) -> int:
                 in_run = False
                 tokens += 1
     return tokens
-
-
-def load_token_table(path: str | Path) -> dict[str, int]:
-    """Load a CSV token table as ``{id: tokens}``; its first non-blank row must
-    be the header ``id,tokens``."""
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        numbered = enumerate(csv.reader(handle), start=1)
-        rows = [(n, row) for n, row in numbered if row and (len(row) > 1 or row[0].strip())]
-    lineno, header = rows[0] if rows else (1, [])
-    if [cell.strip().lower() for cell in header] != ["id", "tokens"]:
-        raise ParseError(f"expected header 'id,tokens', got {','.join(header)!r}", line=lineno)
-    table: dict[str, int] = {}
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise ParseError(f"expected 2 cells, got {len(row)}", line=lineno)
-        element_id = row[0].strip()
-        if element_id in table:
-            raise DuplicateId(element_id)
-        try:
-            tokens = int(row[1])
-        except ValueError:
-            raise ParseError(f"token count {row[1]!r} is not an integer", line=lineno) from None
-        if tokens < 0:
-            raise ParseError(f"token count for {element_id!r} is negative", line=lineno)
-        table[element_id] = tokens
-    return table

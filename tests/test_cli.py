@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -516,6 +517,16 @@ def test_unreadable_json_exits_two(tmp_path, capsys, flag, content):
     assert err.startswith("error: ") and "input.json" in err
 
 
+@pytest.mark.parametrize("flag, prefix", [("--catalog", ""), ("--tokens", "table:")], ids=["catalog", "tokens"])
+def test_oversized_csv_field_exits_two(tmp_path, capsys, flag, prefix):
+    # a field over csv.field_size_limit() is bad input, reported in one line
+    path = tmp_path / "input.csv"
+    path.write_text("f" * (csv.field_size_limit() + 1) + "\n")
+    code, out, err = run_cli(capsys, "plan", "--manifest", MANIFEST, flag, prefix + str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "input.csv: field larger than field limit" in err
+
+
 def test_missing_manifest_exits_two(capsys):
     code, _, err = run_cli(capsys, "sequence", "--manifest", "/nonexistent/conv.json")
     assert code == 2
@@ -585,8 +596,12 @@ def test_flag_prefixes_are_not_abbreviations(capsys, prefix):
         (("sequence", "--manifest", MANIFEST, "--model", "bogus"), "bogus"),
         (("dsm", "--manifest", MANIFEST, "--catalog", "/nonexistent.csv"), "cannot read catalog /nonexistent.csv"),
         (("budget", "--fm", "10", "--tokens", "guess"), "--tokens must be 'approx' or 'table:PATH'"),
+        (
+            ("sequence", "--manifest", MANIFEST, "--tokens", "table:/nonexistent.csv"),
+            "cannot read token table /nonexistent.csv",
+        ),
     ],
-    ids=["sequence-model", "dsm-catalog", "fm-tokens"],
+    ids=["sequence-model", "dsm-catalog", "fm-tokens", "sequence-table"],
 )
 def test_model_and_tokens_are_checked_whichever_command_runs(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import csv
 import json
 from collections import namedtuple
 
@@ -16,15 +17,18 @@ from dsmplan.errors import (
 )
 from dsmplan import manifest
 from dsmplan.data import SPACECRAFT_MANIFEST, SPACECRAFT_TOKEN_TABLE
+from dsmplan.dsm import parse_dsm_csv
 from dsmplan.manifest import (
     ConversationElement,
     ConversationModel,
     _statement_tokens,
     check_references,
+    load_token_table,
     parse_manifest,
     read_json_file,
 )
-from dsmplan.tokens import count_tokens_approx, load_token_table
+from dsmplan.planning import load_model_catalog
+from dsmplan.tokens import count_tokens_approx
 
 
 Unresolved = namedtuple("Unresolved", "id label dependencies text token_count")
@@ -245,6 +249,9 @@ def test_malformed_json_reports_line(tmp_path):
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(ParseError, match="no-such"):
         parse_manifest(tmp_path / "no-such.json")
+    for load, what in [(load_token_table, "token table"), (load_model_catalog, "catalog"), (parse_dsm_csv, "DSM")]:
+        with pytest.raises(ParseError, match=f"^cannot read {what} .*no-such\\.csv: "):
+            load(tmp_path / "no-such.csv")
 
 
 _UNREADABLE = {
@@ -315,6 +322,28 @@ def test_parse_manifest_is_total(tmp_path_factory, document, table):
     except DsmPlanError:
         return
     assert isinstance(model, ConversationModel)
+
+
+# pieces of the three CSV inputs, and of what breaks them: a BOM, a byte that
+# is not UTF-8, a stray quote, an integer too long to convert, and a field over
+# the csv module's size limit
+_CSV_PIECES = [
+    *(b"id,tokens\n", b"name,context_window,max_output_tokens\n", b",a,b\n", b"a", b"b", b"1", b"-2", b"x"),
+    *(b",", b" ", b"\n", b"\r\n", b"\r", b'"', b"\xef\xbb\xbf", b"\xe9", b"\x00", b"9" * 5000),
+    b"f" * (csv.field_size_limit() + 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_CSV_PIECES), max_size=16).map(b"".join), st.binary(max_size=40)))
+@pytest.mark.parametrize("load", [load_token_table, load_model_catalog, parse_dsm_csv], ids=["table", "catalog", "dsm"])
+def test_csv_loaders_are_total(tmp_path_factory, load, document):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    path.write_bytes(document)
+    try:
+        load(path)
+    except DsmPlanError:
+        pass
 
 
 def _outcome(parse, path, table):

@@ -1,3 +1,4 @@
+import csv
 import math
 from collections import Counter
 from decimal import ROUND_CEILING, ROUND_HALF_UP, Decimal
@@ -552,8 +553,12 @@ def test_catalog_needs_a_header_first(tmp_path, text):
 
 @pytest.mark.parametrize(
     "row, message",
-    [("m,100\n", "^line 2: expected 3 cells, got 2$"), ("m,100,lots\n", "^line 2: non-integer limits in row 'm'$")],
-    ids=["two-cells", "word-limit"],
+    [
+        ("m,100\n", "^line 2: expected 3 cells, got 2$"),
+        ("m,100,lots\n", "^line 2: non-integer limits in row 'm'$"),
+        ("m,100," + "5" * (csv.field_size_limit() + 1) + "\n", r"^line 2: catalog .*models\.csv: field larger than field"),
+    ],
+    ids=["two-cells", "word-limit", "huge-field"],
 )
 def test_catalog_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "models.csv"

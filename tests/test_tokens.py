@@ -1,3 +1,4 @@
+import csv
 import sys
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dsmplan.errors import DuplicateId, ParseError
-from dsmplan.tokens import count_tokens_approx, load_token_table
+from dsmplan.manifest import load_token_table
+from dsmplan.tokens import count_tokens_approx
 
 
 def count_by_char(text: str) -> int:
@@ -108,6 +110,15 @@ def test_load_token_table_rejects_bad_rows(tmp_path):
         load_token_table(path)
     path.write_text("id,tokens\na,-3\n")
     with pytest.raises(ParseError, match="^line 2: token count for 'a' is negative$"):
+        load_token_table(path)
+    path.write_text('id,tokens\n"a\nb",3\nc,x\n')  # a line number counts lines, not rows
+    with pytest.raises(ParseError, match="^line 4: token count 'x' is not an integer$"):
+        load_token_table(path)
+    path.write_text("id,tokens\na," + "9" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ParseError, match=r"^line 2: token table .*tokens\.csv: field larger than field limit"):
+        load_token_table(path)
+    path.write_bytes(b"id,tokens\ncaf\xe9,3\n")
+    with pytest.raises(ParseError, match=r"^token table .*tokens\.csv: 'utf-8' codec can't decode"):
         load_token_table(path)
 
 
