@@ -5,8 +5,11 @@ Exports two commits of this repository with ``git archive`` into fresh
 directories, compiles both the same way (``compileall``), and runs each
 one's own ``bench/run.py`` in k alternating pairs per workload: pair p runs
 the p-th seed on both sides, the parent first in even pairs and the change
-first in odd ones, each for the benchmark's own ``run_seconds``.  Run from
-anywhere inside a checkout:
+first in odd ones, each for the benchmark's own ``run_seconds``.  Each run
+is made from one fixed path: the side's export is renamed to it for the run
+and back after, because two identical copies in two directories can read
+subprocess timings a few percent apart.  Run from anywhere inside a
+checkout:
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 --seed 11
 
@@ -34,6 +37,7 @@ that one started, and removes the exported directories, before it exits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -44,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 GAIN_SHARE = 0.9  # a gain needs the change to win this share of all pairs
 
@@ -135,6 +140,16 @@ def export(repo: Path, sha: str, directory: Path) -> Path:
     return directory
 
 
+@contextlib.contextmanager
+def moved(directory: Path, place: Path) -> Iterator[Path]:
+    """``directory`` renamed to ``place`` while the block runs, then back."""
+    directory.rename(place)
+    try:
+        yield place
+    finally:
+        place.rename(directory)
+
+
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run in ``checkout``; its last stdout line, parsed."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
@@ -204,13 +219,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         sides = {side: export(repo, sha, Path(scratch) / side) for side, sha in (("parent", parent), ("change", change))}
+        place = Path(scratch) / "checkout"  # every run is made from here
         for workload in workloads:
             runs = []
             for p, seed in enumerate(seeds):
                 order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = bench_once(sides[side], workload, seed, seconds)
+                    with moved(sides[side], place):
+                        run[side] = bench_once(place, workload, seed, seconds)
                     value = run[side]["metrics"].get("plan_s", {}).get("value")
                     print(f"{workload} pair {p + 1}/{len(seeds)} seed {seed} {side}: plan_s {value}", file=sys.stderr)
                 runs.append(run)

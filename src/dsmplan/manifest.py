@@ -69,7 +69,10 @@ class ConversationElement:
 
 @dataclass(frozen=True)
 class ConversationModel:
-    """A parsed conversation: elements plus fixed per-conversation token costs."""
+    """A parsed conversation: elements plus fixed per-conversation token costs.
+
+    Element ids are unique (DuplicateId names the first repeat); dependencies
+    are checked by :func:`check_references`, not here."""
 
     elements: tuple[ConversationElement, ...]
     user_statement_tokens: int = 0
@@ -81,6 +84,11 @@ class ConversationModel:
             require_int(name, getattr(self, name))
         if self.user_statement_tokens < 0 or self.instruction_tokens < 0:
             raise ValueError("token overheads must be non-negative")
+        seen: set[str] = set()
+        for element in self.elements:  # every id map below would keep only the last
+            if element.id in seen:
+                raise DuplicateId(element.id)
+            seen.add(element.id)
 
     @property
     def element_ids(self) -> tuple[str, ...]:

@@ -30,6 +30,9 @@ early pairs.  The layout is cached on the frozen plan (outside ``==``,
 ``hash`` and ``repr``), so a sweep lays a plan out once.  Per window, :func:`simulate` then costs one
 bisection per piece for the evictions (the head only moves forward), one
 comparison per piece for oversized pieces, and one per pair for the misses.
+It also builds one :class:`SimulationStep` per piece, and on plans of a few
+hundred pieces that is most of a window's time, so a step is a NamedTuple,
+built as a plain tuple, not a frozen dataclass that sets each field in turn.
 :func:`loss_curve` sorts the needs instead, and gives misses and lost tokens
 at any window by one bisection.
 """
@@ -45,8 +48,10 @@ from .errors import SpecMismatch, require_int
 from .planning import ConversationPlan, max_filled_tokens, output_budget
 
 
-@dataclass(frozen=True)
-class SimulationStep:
+class SimulationStep(NamedTuple):
+    """One piece's turn in the window; :func:`simulate` builds one per piece
+    per window, so it is a NamedTuple (see the module docstring)."""
+
     piece_index: int
     tokens_in: int
     tokens_out: int
@@ -152,6 +157,10 @@ def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> Si
     the window even on its own is run all the same, evicting its own earliest
     entries, and listed in ``oversized_piece_indices``.  ValueError is raised
     only for a window that is no positive int.
+
+    A call costs one bisection and one ``SimulationStep`` (a NamedTuple) per
+    piece and one comparison per dependency that can be missed; the layout
+    is read from the plan's cache.
     """
     cw = plan.model.context_window if context_window is None else context_window
     _check_window(cw)
@@ -161,11 +170,9 @@ def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> Si
     sent, starts = layout.sent, layout.starts
     steps = []
     head = 0  # sent[:head] have left the window
-    for k, piece in enumerate(plan.pieces):
-        piece_end = piece_ends[k]
-        new_head = bisect_left(starts, piece_end - cw, head)
-        tokens_in = piece_end - piece_starts[k] - piece.fm_tokens
-        steps.append(SimulationStep(k, tokens_in, piece.fm_tokens, sent[head:new_head]))
+    for k, (piece, start, end) in enumerate(zip(plan.pieces, piece_starts, piece_ends)):
+        new_head = bisect_left(starts, end - cw, head)
+        steps.append(SimulationStep(k, end - start - piece.fm_tokens, piece.fm_tokens, sent[head:new_head]))
         head = new_head
     missed = [need > cw for need in layout.needs]
     missed_pairs = tuple(compress(layout.pairs, missed))

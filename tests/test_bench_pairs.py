@@ -118,21 +118,53 @@ def _alive(pid: int) -> bool:
     return not (stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] == "Z")
 
 
-def test_sigterm_ends_the_running_benchmark_and_removes_the_exports(tmp_path):
+def make_repo(tmp_path: Path, run_py: str, end_to_end: list[dict]) -> Path:
+    """A git repository holding this script, with a parent and a change commit
+    whose ``bench/run.py`` is ``run_py`` under a comment naming the commit."""
     repo = tmp_path / "repo"
     (repo / "bench").mkdir(parents=True)
     (repo / "src").mkdir()
     (repo / "scripts").mkdir()
     shutil.copy(_PATH, repo / "scripts" / "bench_pairs.py")
-    benchmark = {"paths": ["bench"], "run_seconds": 1, "workloads": [{"name": "sleep"}], "end_to_end": []}
+    benchmark = {"paths": ["bench"], "run_seconds": 1, "workloads": [{"name": "sleep"}], "end_to_end": end_to_end}
     (repo / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
     git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
     subprocess.run([*git, "init", "-q"], check=True)
     for version in ("parent", "change"):
-        (repo / "bench" / "run.py").write_text(f"# {version}\n{SLEEPING_RUN}", encoding="utf-8")
+        (repo / "bench" / "run.py").write_text(f"# {version}\n{run_py}", encoding="utf-8")
         subprocess.run([*git, "add", "-A"], check=True)
         subprocess.run([*git, "commit", "-q", "-m", version], check=True)
+    return repo
 
+
+def test_both_sides_run_from_one_path(tmp_path, monkeypatch):
+    repo = make_repo(tmp_path, "", END_TO_END)
+    spec = importlib.util.spec_from_file_location("bench_pairs_copy", repo / "scripts" / "bench_pairs.py")
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
+
+    def export(repo_, sha, directory):
+        directory.mkdir(parents=True)
+        (directory / "sha").write_text(sha, encoding="utf-8")
+        return directory
+
+    ran = []  # (path, the commit found there) per run
+
+    def bench_once(checkout, workload, seed, seconds):
+        ran.append((checkout, (checkout / "sha").read_text(encoding="utf-8")))
+        return line(0.08)
+
+    monkeypatch.setattr(runner, "export", export)
+    monkeypatch.setattr(runner, "bench_once", bench_once)
+    monkeypatch.setattr(signal, "signal", lambda *args: None)  # leave pytest's SIGTERM handler alone
+    assert runner.main(["--parent", "HEAD~1", "--pairs", "2", "--seed", "1", "--out", str(tmp_path / "out.json")]) == 0
+    parent, change = (runner._git(repo, "rev-parse", rev) for rev in ("HEAD~1", "HEAD"))
+    assert [sha for _, sha in ran] == [parent, change, change, parent]
+    assert len({path for path, _ in ran}) == 1
+
+
+def test_sigterm_ends_the_running_benchmark_and_removes_the_exports(tmp_path):
+    repo = make_repo(tmp_path, SLEEPING_RUN, [])
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     pids = tmp_path / "pids"

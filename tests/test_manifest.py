@@ -192,6 +192,16 @@ def test_duplicate_id(tmp_path):
         parse_manifest(path)
 
 
+def test_conversation_model_rejects_a_repeated_id():
+    # built directly, without parse_manifest's check_references
+    counts = (("a", 5), ("b", 1), ("a", 7), ("b", 2))
+    elements = [ConversationElement(id, id.upper(), token_count=n) for id, n in counts]
+    with pytest.raises(DuplicateId, match="^duplicate element id 'a'$") as err:
+        ConversationModel(elements=tuple(elements))
+    assert err.value.element_id == "a"
+    assert ConversationModel(elements=tuple(elements[:2])).token_counts() == {"a": 5, "b": 1}
+
+
 def test_unknown_dependency(tmp_path):
     path = _write(tmp_path, {"elements": [{"id": "x", "label": "X", "tokens": 1, "deps": ["nope"]}]})
     with pytest.raises(UnknownDependency) as err:

@@ -58,6 +58,11 @@ def pin_manifest(n: int = 3000, seed: str = "pipeline-pin") -> dict:
     return {"user_statement": "plan the whole mission", "instructions": {"tokens": 10}, "elements": elements}
 
 
+def report_dict(report) -> dict:
+    """``asdict(report)`` with each step as a dict, as it was when steps were dataclasses."""
+    return {**dataclasses.asdict(report), "steps": [step._asdict() for step in report.steps]}
+
+
 def pipeline_digest(path) -> str:
     conversation = parse_manifest(path)
     model = find_model(default_model_catalog(), "claude-3")
@@ -75,7 +80,7 @@ def pipeline_digest(path) -> str:
         "clusters": dataclasses.asdict(clusters),
         "pieces": [dataclasses.astuple(piece) for piece in plan.pieces],
         "budget": dataclasses.asdict(budget_report(plan)),
-        "sweep": [dataclasses.asdict(simulate(plan, context_window=cw)) for cw in SWEEP],
+        "sweep": [report_dict(simulate(plan, context_window=cw)) for cw in SWEEP],
     }
     return hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
 
