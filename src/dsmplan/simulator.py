@@ -32,7 +32,8 @@ bisection per piece for the evictions (the head only moves forward), one
 comparison per piece for oversized pieces, and one per pair for the misses.
 It also builds one :class:`SimulationStep` per piece, and on plans of a few
 hundred pieces that is most of a window's time, so a step is a NamedTuple,
-built as a plain tuple, not a frozen dataclass that sets each field in turn.
+not a frozen dataclass that sets each field in turn: each is built as a
+plain tuple and given its type in one pass that makes no Python call.
 :func:`loss_curve` sorts the needs instead, and gives misses and lost tokens
 at any window by one bisection.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from typing import NamedTuple
 
 from .errors import SpecMismatch, require_int
@@ -172,7 +173,7 @@ def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> Si
     head = 0  # sent[:head] have left the window
     for k, (piece, start, end) in enumerate(zip(plan.pieces, piece_starts, piece_ends)):
         new_head = bisect_left(starts, end - cw, head)
-        steps.append(SimulationStep(k, end - start - piece.fm_tokens, piece.fm_tokens, sent[head:new_head]))
+        steps.append((k, end - start - piece.fm_tokens, piece.fm_tokens, sent[head:new_head]))
         head = new_head
     missed = [need > cw for need in layout.needs]
     missed_pairs = tuple(compress(layout.pairs, missed))
@@ -180,7 +181,8 @@ def simulate(plan: ConversationPlan, *, context_window: int | None = None) -> Si
         model_name=plan.model.name,
         context_window=cw,
         max_output_tokens=plan.model.max_output_tokens,
-        steps=tuple(steps),
+        # each made a SimulationStep as its _make does, but without a Python call per step
+        steps=tuple(map(tuple.__new__, repeat(SimulationStep), steps)),
         dependency_misses=len(missed_pairs),
         early_dependencies=len(layout.early_pairs),
         lost_tokens=sum(compress(layout.provider_tokens, missed)),
