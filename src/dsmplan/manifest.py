@@ -84,11 +84,9 @@ class ConversationModel:
             require_int(name, getattr(self, name))
         if self.user_statement_tokens < 0 or self.instruction_tokens < 0:
             raise ValueError("token overheads must be non-negative")
-        seen: set[str] = set()
-        for element in self.elements:  # every id map below would keep only the last
-            if element.id in seen:
-                raise DuplicateId(element.id)
-            seen.add(element.id)
+        # every id map below would keep only the last element of a repeated id
+        if len({element.id for element in self.elements}) < len(self.elements):
+            check_references(self.elements)  # raises DuplicateId for the first repeat
 
     @property
     def element_ids(self) -> tuple[str, ...]:
