@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from typing import Any, NamedTuple, TextIO
 
@@ -33,11 +33,11 @@ from .planning import (
     ModelSpec,
     TokenBudgetReport,
     budget_report,
-    capped_cluster,
     find_model,
     literal_plan,
     load_model_catalog,
     make_naive_plan,
+    max_piece_tokens,
     plan_conversation,
 )
 from .sequencing import SequencingResult, sequence
@@ -275,16 +275,8 @@ def _ids(ids: tuple[str, ...]) -> str:
 
 def _report_payload(plan: ConversationPlan, report: TokenBudgetReport) -> dict[str, Any]:
     return {
-        "model": {
-            "name": plan.model.name,
-            "context_window": plan.model.context_window,
-            "max_output_tokens": plan.model.max_output_tokens,
-        },
-        "config": {
-            "margin": plan.config.margin,
-            "fm_ratio": plan.config.fm_ratio,
-            "instructions_per_piece": plan.config.instructions_per_piece,
-        },
+        "model": asdict(plan.model),
+        "config": asdict(plan.config),
         "user_statement_tokens": plan.conversation.user_statement_tokens,
         "pieces": [
             {
@@ -415,7 +407,8 @@ def cmd_cluster(settings: dict[str, Any]) -> int:
     spec = _model_spec(settings)
     config = _budget_config(settings, conversation)
     params = settings["params"]
-    _, assignment, cap = capped_cluster(conversation, params, config, spec)
+    _, assignment, _ = plan_conversation(conversation, params, config, spec)
+    cap = max_piece_tokens(config, spec)
     if settings["format"] == "json":
         _emit_json(
             {

@@ -49,7 +49,7 @@ NUMERICAL = "numerical"
 _ID_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, init=False)
 class Dsm:
     element_ids: tuple[str, ...]
     kind: str
@@ -128,14 +128,6 @@ class Dsm:
     @property
     def n(self) -> int:
         return len(self.element_ids)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dsm):
-            return NotImplemented
-        return self.element_ids == other.element_ids and self.kind == other.kind and self.marks == other.marks
-
-    def __hash__(self) -> int:  # frozen dataclass with eq=False would otherwise use identity
-        return hash((self.element_ids, self.kind, self.marks))
 
 
 def _raise_first_bad_mark(n: int, rows: Sequence, cols: Sequence, vals: Sequence) -> None:

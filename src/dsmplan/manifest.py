@@ -71,8 +71,8 @@ class ConversationElement:
 class ConversationModel:
     """A parsed conversation: elements plus fixed per-conversation token costs.
 
-    Element ids are unique (DuplicateId names the first repeat); dependencies
-    are checked by :func:`check_references`, not here."""
+    Its elements pass :func:`check_references`: ids are unique and every
+    dependency names another element, however the model was built."""
 
     elements: tuple[ConversationElement, ...]
     user_statement_tokens: int = 0
@@ -84,9 +84,7 @@ class ConversationModel:
             require_int(name, getattr(self, name))
         if self.user_statement_tokens < 0 or self.instruction_tokens < 0:
             raise ValueError("token overheads must be non-negative")
-        # every id map below would keep only the last element of a repeated id
-        if len({element.id for element in self.elements}) < len(self.elements):
-            check_references(self.elements)  # raises DuplicateId for the first repeat
+        check_references(self.elements)
 
     @property
     def element_ids(self) -> tuple[str, ...]:

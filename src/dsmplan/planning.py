@@ -1,4 +1,4 @@
-"""Conversation pieces and token budgets.
+"""Conversation pieces, token budgets and the window-free token stream.
 
 Glossary used throughout (all counts are tokens):
 
@@ -21,7 +21,17 @@ one integer, :func:`max_piece_tokens`: with ``fm_max = floor(OL / (1 + MG))``
 (:func:`max_filled_tokens`, the largest FM whose OB fits),
 ``cap = ceil((fm_max + 1/2) / fm_ratio) - 1`` (the largest GM that rounds to an
 FM no larger).  Clustering and cutting compare GM against that cap, and the
-simulator compares FM against ``fm_max``, and nothing else.
+layout compares FM against ``fm_max``, and nothing else.
+
+A plan is sent as one stream of whole entries: per piece, the user statement
+(first piece only), the instruction block, the piece's elements in order,
+then the modeled reply of exactly ``fm_tokens``.  :func:`window_budget` sums
+that stream, and :func:`lay_out` walks it once, without a window: each
+entry's start offset, each piece's start and end, the output-overflow total,
+every (consumer, provider) pair that can be missed with its *need* (its
+piece's end minus the provider's start), and the *early pairs*, whose
+provider comes in a later piece.  The layout is cached on the frozen plan, so
+:mod:`dsmplan.simulator` only adds the window to it.
 """
 
 from __future__ import annotations
@@ -32,17 +42,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .clustering import ClusterAssignment, ClusterParams, cluster
 from .data import MODEL_CATALOG
-from .dsm import Dsm, build_dsm
+from .dsm import build_dsm
 from .errors import DuplicateModelName, ParseError, UnknownModel, UnsplittablePiece, require_int
 from .manifest import ConversationElement, ConversationModel, read_csv_table
 from .sequencing import SequencingResult, sequence
-
-if TYPE_CHECKING:
-    from .simulator import PlanLayout
 
 
 @dataclass(frozen=True)
@@ -123,10 +130,8 @@ class ConversationPlan:
 
     @cached_property
     def _layout(self) -> PlanLayout:
-        """The window-free token stream (see :mod:`dsmplan.simulator`), built on
-        first read and cached outside ``==``, ``hash`` and ``repr``."""
-        from .simulator import lay_out  # deferred: the simulator imports this module
-
+        """The plan's token stream (:func:`lay_out`), built on first read and
+        cached outside ``==``, ``hash`` and ``repr``."""
         return lay_out(self)
 
 
@@ -201,6 +206,76 @@ def budget_report(plan: ConversationPlan) -> TokenBudgetReport:
     feasible = cw_headroom >= 0 and all(b.ol_headroom >= 0 for b in piece_budgets)
     return TokenBudgetReport(
         piece_budgets=piece_budgets, wb=wb, cw_headroom=cw_headroom, feasible=feasible
+    )
+
+
+class PlanLayout(NamedTuple):
+    """A plan laid out as one token stream: everything about a FIFO run that
+    does not depend on the window.  Built by :func:`lay_out`."""
+
+    sent: tuple[str, ...]  # element ids in stream order
+    starts: tuple[int, ...]  # their start offsets, non-decreasing
+    piece_starts: tuple[int, ...]  # offset of each piece's first entry
+    piece_ends: tuple[int, ...]  # offset after each piece's reply
+    overflow: int  # output-overflow tokens over all pieces
+    pairs: tuple[tuple[str, str], ...]  # (consumer, provider) that can be missed, in report order
+    needs: tuple[int, ...]  # per pair: its piece's end minus the provider's start
+    provider_tokens: tuple[int, ...]  # per pair: what missing it loses
+    early_pairs: tuple[tuple[str, str], ...]  # (consumer, provider) sent in a later piece, in report order
+
+
+def lay_out(plan: ConversationPlan) -> PlanLayout:
+    """Walk ``plan`` once and lay it out; read it as the plan's cached ``_layout``.
+
+    A piece too large for some window is no fault: the layout does not depend on the window.
+    """
+    counts = plan.conversation.token_counts()
+    deps = plan.conversation.dependencies()
+    inst = plan.config.instructions_per_piece
+    ust = plan.conversation.user_statement_tokens
+    fm_max = max_filled_tokens(plan.config, plan.model)
+
+    start: dict[str, int] = {}  # element id -> stream offset of its entry
+    piece_starts: list[int] = []
+    piece_ends: list[int] = []
+    pairs: list[tuple[str, str]] = []
+    needs: list[int] = []
+    provider_tokens: list[int] = []
+    unsent: list[tuple[str, str]] = []  # (consumer, provider) not sent by the consumer's piece
+    overflow = 0
+    end = 0  # stream offset after the last entry sent
+
+    for piece in plan.pieces:
+        piece_start = end
+        end += (ust if piece.includes_user_statement else 0) + inst
+        for element_id in piece.element_ids:
+            start[element_id] = end
+            end += counts[element_id]
+        end += piece.fm_tokens
+        piece_starts.append(piece_start)
+        piece_ends.append(end)
+        for element_id in piece.element_ids:
+            for provider in deps[element_id]:
+                provider_start = start.get(provider)
+                if provider_start is None:  # a provider not sent yet can't be missed
+                    unsent.append((element_id, provider))
+                else:
+                    pairs.append((element_id, provider))
+                    needs.append(end - provider_start)
+                    provider_tokens.append(counts[provider])
+        if piece.fm_tokens > fm_max:  # exactly when OB > OL
+            overflow -= output_budget(piece, plan.config, plan.model).ol_headroom
+
+    return PlanLayout(
+        sent=tuple(start),
+        starts=tuple(start.values()),
+        piece_starts=tuple(piece_starts),
+        piece_ends=tuple(piece_ends),
+        overflow=overflow,
+        pairs=tuple(pairs),
+        needs=tuple(needs),
+        provider_tokens=tuple(provider_tokens),
+        early_pairs=tuple(pair for pair in unsent if pair[1] in start),
     )
 
 
@@ -302,16 +377,19 @@ def literal_plan(
     return _plan([(e.id,) for e in elements], conversation, conversation.token_counts(), config, spec)
 
 
-def capped_cluster(
+def plan_conversation(
     conversation: ConversationModel,
     cluster_params: ClusterParams,
     config: BudgetConfig,
     spec: ModelSpec,
-) -> tuple[Dsm, ClusterAssignment, int]:
-    """Build the matrix and cluster it with each cluster's GM capped at
-    :func:`max_piece_tokens`; returns (matrix, clusters, cap).
+) -> tuple[SequencingResult, ClusterAssignment, ConversationPlan]:
+    """Full pipeline: matrix, clustering with each cluster's GM capped at
+    :func:`max_piece_tokens`, sequence, pieces.
 
-    Raises :class:`UnsplittablePiece` for an element above the cap on its own.
+    Raises :class:`UnsplittablePiece` for an element above the cap on its own,
+    before the search.  An empty conversation takes the same path:
+    :func:`cluster` gives it the empty assignment and :func:`make_pieces` the
+    zero-piece plan, as :func:`make_naive_plan` gives it.
     """
     counts = conversation.token_counts()
     cap = max_piece_tokens(config, spec)
@@ -319,26 +397,9 @@ def capped_cluster(
         if count > cap:
             raise UnsplittablePiece(element_id)
     dsm = build_dsm(conversation.elements)
-    params = replace(cluster_params, max_cluster_tokens=cap)
-    return dsm, cluster(dsm, params, token_counts=counts), cap
-
-
-def plan_conversation(
-    conversation: ConversationModel,
-    cluster_params: ClusterParams,
-    config: BudgetConfig,
-    spec: ModelSpec,
-) -> tuple[SequencingResult, ClusterAssignment, ConversationPlan]:
-    """Full pipeline: matrix, capped clustering, sequence, pieces.
-
-    An empty conversation takes the same path: :func:`cluster` gives it the
-    empty assignment and :func:`make_pieces` the zero-piece plan, as
-    :func:`make_naive_plan` gives it.
-    """
-    dsm, clusters, _ = capped_cluster(conversation, cluster_params, config, spec)
+    clusters = cluster(dsm, replace(cluster_params, max_cluster_tokens=cap), token_counts=counts)
     seq = sequence(dsm)
-    plan = make_pieces(conversation, seq, clusters, config, spec)
-    return seq, clusters, plan
+    return seq, clusters, make_pieces(conversation, seq, clusters, config, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """First-in-first-out context-window simulation.
 
-The window is a queue of whole entries (never split): per piece, the user
-statement (first piece only), the instruction block, the piece's elements in
-order, then the modeled reply of exactly ``fm_tokens``.  Before a piece is
+The window is a queue of whole entries (never split), sent in the order of
+the plan's token stream (see :mod:`dsmplan.planning`).  Before a piece is
 sent, the oldest entries are evicted until the piece's input plus projected
 reply fits; a piece larger than the window then evicts its own earliest
 entries, which is precisely the failure mode worth measuring.
@@ -23,11 +22,10 @@ without it: each such (consumer, provider) is an *early pair*.  Early pairs
 do not depend on the window, so the layout lists them and every report
 counts them.
 
-The simulation therefore has two parts.  :func:`lay_out` walks the plan once,
-without a window: entry offsets, each piece's start and end, the
-output-overflow total, every pair that can be missed with its need, and the
-early pairs.  The layout is cached on the frozen plan (outside ``==``,
-``hash`` and ``repr``), so a sweep lays a plan out once.  Per window, :func:`simulate` then costs one
+The simulation therefore has two parts.  :func:`dsmplan.planning.lay_out`
+walks the plan once, without a window, and its layout is cached on the
+frozen plan (outside ``==``, ``hash`` and ``repr``), so a sweep lays a plan
+out once.  Per window, :func:`simulate` then costs one
 bisection per piece for the evictions (the head only moves forward), one
 comparison per piece for oversized pieces, and one per pair for the misses.
 It also builds one :class:`SimulationStep` per piece, and on plans of a few
@@ -46,7 +44,7 @@ from itertools import accumulate, compress, repeat
 from typing import NamedTuple
 
 from .errors import SpecMismatch, require_int
-from .planning import ConversationPlan, max_filled_tokens, output_budget
+from .planning import ConversationPlan
 
 
 class SimulationStep(NamedTuple):
@@ -66,81 +64,11 @@ class SimulationReport:
     max_output_tokens: int
     steps: tuple[SimulationStep, ...]
     dependency_misses: int
-    early_dependencies: int  # len(PlanLayout.early_pairs), the same at every window
+    early_dependencies: int  # len(planning.PlanLayout.early_pairs), the same at every window
     lost_tokens: int
     output_overflow_tokens: int
     missed_pairs: tuple[tuple[str, str], ...]  # (consumer, provider)
     oversized_piece_indices: tuple[int, ...]
-
-
-class PlanLayout(NamedTuple):
-    """A plan laid out as one token stream: everything about a FIFO run that
-    does not depend on the window.  Built by :func:`lay_out`."""
-
-    sent: tuple[str, ...]  # element ids in stream order
-    starts: tuple[int, ...]  # their start offsets, non-decreasing
-    piece_starts: tuple[int, ...]  # offset of each piece's first entry
-    piece_ends: tuple[int, ...]  # offset after each piece's reply
-    overflow: int  # output-overflow tokens over all pieces
-    pairs: tuple[tuple[str, str], ...]  # (consumer, provider) that can be missed, in report order
-    needs: tuple[int, ...]  # per pair: its piece's end minus the provider's start
-    provider_tokens: tuple[int, ...]  # per pair: what missing it loses
-    early_pairs: tuple[tuple[str, str], ...]  # (consumer, provider) sent in a later piece, in report order
-
-
-def lay_out(plan: ConversationPlan) -> PlanLayout:
-    """Walk ``plan`` once and lay it out; read it as the plan's cached ``_layout``.
-
-    A piece too large for some window is no fault: the layout does not depend on the window.
-    """
-    counts = plan.conversation.token_counts()
-    deps = plan.conversation.dependencies()
-    inst = plan.config.instructions_per_piece
-    ust = plan.conversation.user_statement_tokens
-    fm_max = max_filled_tokens(plan.config, plan.model)
-
-    start: dict[str, int] = {}  # element id -> stream offset of its entry
-    piece_starts: list[int] = []
-    piece_ends: list[int] = []
-    pairs: list[tuple[str, str]] = []
-    needs: list[int] = []
-    provider_tokens: list[int] = []
-    unsent: list[tuple[str, str]] = []  # (consumer, provider) not sent by the consumer's piece
-    overflow = 0
-    end = 0  # stream offset after the last entry sent
-
-    for piece in plan.pieces:
-        piece_start = end
-        end += (ust if piece.includes_user_statement else 0) + inst
-        for element_id in piece.element_ids:
-            start[element_id] = end
-            end += counts[element_id]
-        end += piece.fm_tokens
-        piece_starts.append(piece_start)
-        piece_ends.append(end)
-        for element_id in piece.element_ids:
-            for provider in deps[element_id]:
-                provider_start = start.get(provider)
-                if provider_start is None:  # a provider not sent yet can't be missed
-                    unsent.append((element_id, provider))
-                else:
-                    pairs.append((element_id, provider))
-                    needs.append(end - provider_start)
-                    provider_tokens.append(counts[provider])
-        if piece.fm_tokens > fm_max:  # exactly when OB > OL
-            overflow -= output_budget(piece, plan.config, plan.model).ol_headroom
-
-    return PlanLayout(
-        sent=tuple(start),
-        starts=tuple(start.values()),
-        piece_starts=tuple(piece_starts),
-        piece_ends=tuple(piece_ends),
-        overflow=overflow,
-        pairs=tuple(pairs),
-        needs=tuple(needs),
-        provider_tokens=tuple(provider_tokens),
-        early_pairs=tuple(pair for pair in unsent if pair[1] in start),
-    )
 
 
 def _check_window(context_window: int) -> None:

@@ -202,6 +202,22 @@ def test_conversation_model_rejects_a_repeated_id():
     assert ConversationModel(elements=tuple(elements[:2])).token_counts() == {"a": 5, "b": 1}
 
 
+@pytest.mark.parametrize(
+    "deps,error,message",
+    [
+        # the simulator would report the miss ('b', 'b')
+        ({"b": ("b",)}, SelfDependency, "element 'b' depends on itself"),
+        # the simulator would drop 'ghost' without a word, while build_dsm raises
+        ({"a": ("ghost",), "b": ("a",)}, UnknownDependency, "element 'a' depends on unknown id 'ghost'"),
+    ],
+)
+def test_conversation_model_rejects_a_bad_dependency(deps, error, message):
+    # built directly, without parse_manifest's check_references
+    elements = tuple(ConversationElement(id, id.upper(), deps.get(id, ()), token_count=1) for id in "ab")
+    with pytest.raises(error, match=f"^{message}$"):
+        ConversationModel(elements=elements)
+
+
 def test_unknown_dependency(tmp_path):
     path = _write(tmp_path, {"elements": [{"id": "x", "label": "X", "tokens": 1, "deps": ["nope"]}]})
     with pytest.raises(UnknownDependency) as err:

@@ -64,6 +64,20 @@ def test_the_marks_pipeline_loads_no_numpy():
     ) == [False, 13]
 
 
+def test_a_plan_is_built_budgeted_and_laid_out_without_the_simulator():
+    # the token stream is a planning step: nothing before a window needs dsmplan.simulator
+    assert _fresh(
+        "import json, sys\n"
+        "from dsmplan.data import SPACECRAFT_MANIFEST\n"
+        "from dsmplan.manifest import parse_manifest\n"
+        "from dsmplan.planning import BudgetConfig, ModelSpec, budget_report, make_naive_plan\n"
+        "conv = parse_manifest(SPACECRAFT_MANIFEST)\n"
+        "plan = make_naive_plan(conv, BudgetConfig(), ModelSpec('m', 100000, 50000))\n"
+        "layout = plan._layout\n"
+        "print(json.dumps([budget_report(plan).feasible, len(layout.piece_ends), 'dsmplan.simulator' in sys.modules]))"
+    ) == [True, 1, False]
+
+
 def test_submodules_resolve_after_a_bare_import():
     assert _fresh(
         "import json, dsmplan\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsmplan import simulator
+from dsmplan import planning
 from dsmplan.clustering import ClusterParams
 from dsmplan.errors import SpecMismatch
 from dsmplan.dsm import build_dsm
@@ -652,8 +652,8 @@ def test_a_sweep_lays_the_plan_out_once(reference_plan, monkeypatch):
         calls.append(plan)
         return lay_out(plan)
 
-    lay_out = simulator.lay_out
-    monkeypatch.setattr(simulator, "lay_out", counted)
+    lay_out = planning.lay_out
+    monkeypatch.setattr(planning, "lay_out", counted)
     plan = dataclasses.replace(reference_plan)
     for cw in (4000, 8000, 16000, 32000):
         simulate(plan, context_window=cw)
