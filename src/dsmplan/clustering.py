@@ -12,21 +12,26 @@ the two modes agree on uniform corpora.
 
 The search is restarted simulated annealing over single-element moves, fully
 deterministic for a fixed seed: every restart chain draws from its own
-``SeedSequence(seed, chain_index)`` stream, the winner is the lowest cost with
-ties to the lowest chain index, and the two trivial assignments (all
-singletons, one big cluster) are always scored as explicit candidates so the
-result can never be worse than either.
+standard-library generator, ``random.Random(f"{seed}:{chain_index}")``, the
+winner is the lowest cost with ties to the lowest chain index, and the two
+trivial assignments (all singletons, one big cluster) are always scored as
+explicit candidates so the result can never be worse than either.
 
-Determinism contract.  A chain draws, in this order: the initial labels
-(uncapped runs only; capped runs start from singletons), then all element
-picks, all target draws ``u`` and all acceptance draws at once.  A proposal
-moves its picked element ``e`` out of its ``source`` cluster; its targets are
-the active labels in ascending order without ``source``, followed by the
-lowest free label when ``source`` has other members, and it takes target
+Determinism contract.  A chain takes every draw from ``random()`` of its
+generator, whose stream for a ``str`` seed Python keeps the same across
+versions (``choices`` and ``randrange`` carry no such promise, so neither is
+used).  It draws, in this order: the initial labels, ``int(u * n)`` per
+element (uncapped runs only; capped runs start from singletons); then per
+proposal, inline, the element ``int(u * n)``, the target draw ``u``, and an
+acceptance draw only for an uphill move that passed the cap.  A proposal
+moves its element ``e`` out of its ``source`` cluster; its targets are the
+active labels in ascending order without ``source``, followed by the lowest
+free label when ``source`` has other members, and it takes target
 ``int(u * len(targets))``.  Faster bookkeeping must keep this rule and draw
-order, so a seed gives the same plans across versions.  Those draws are the
-one use of numpy here: a chain imports it for its generator, and everything
-else — scoring and bookkeeping — works on lists of ints.
+order, so a seed gives the same plans across versions.  The stream changed
+once: chains drew from numpy's ``SeedSequence([seed, chain_index])``
+generator, in three pre-drawn arrays, until the annealer moved to the
+standard library, so the search imports no numpy.
 
 Cost.  A proposal costs O(deg(e)): the target is read by index from sorted
 lists of active and free labels, and the interaction delta is a scan of
@@ -37,6 +42,7 @@ those lists, in O(n).
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
@@ -80,7 +86,7 @@ class ClusterParams:
                 raise ValueError("max_cluster_tokens must be non-negative when set")
         if self.restarts < 1 or self.iterations_per_restart < 0:
             raise ValueError("need at least one restart and non-negative iterations")
-        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+        if self.seed < 0:  # refused since the first release; kept so no exit code moves
             raise ValueError("seed must be non-negative")
 
 
@@ -187,15 +193,13 @@ def _anneal_chain(
     chain_index: int,
 ) -> tuple[list[int], float]:
     """One annealing restart; returns the best label vector seen and its tracked J."""
-    import numpy as np
-
     n = len(nbrs)
-    rng = np.random.default_rng(np.random.SeedSequence([params.seed, chain_index]))
+    draw = random.Random(f"{params.seed}:{chain_index}").random
     cap = params.max_cluster_tokens
     iters = params.iterations_per_restart
 
     if cap is None:
-        labels: list[int] = rng.integers(0, n, size=n).tolist()
+        labels = [int(draw() * n) for _ in range(n)]
     else:
         labels = list(range(n))  # singletons are always cap-feasible here
     size_sq = _size_sq(labels, params, tok)
@@ -228,16 +232,13 @@ def _anneal_chain(
     temperature = max(1.0, 0.05 * current_j)
     cool = _COOL_RATIO ** (1.0 / iters)
 
-    picks = rng.integers(0, n, size=iters).tolist()
-    target_u = rng.random(iters).tolist()
-    accept_u = rng.random(iters).tolist()
-
     active = sorted(set(labels))
     free = sorted(set(range(n)).difference(active))
     num_active = len(active)
 
-    for e, u, a in zip(picks, target_u, accept_u):
+    for _ in range(iters):
         temperature *= cool
+        e = int(draw() * n)
         source = labels[e]
         # targets: active labels ascending without the source, then free[0]
         # when the source keeps other members (so at most n-1 are active);
@@ -245,7 +246,7 @@ def _anneal_chain(
         # active holds the source, so active[k] is the k-th target while it
         # sits below the source, and active[k + 1] from the source on
         others = num_active - 1
-        k = int(u * (others + (count[source] > 1)))
+        k = int(draw() * (others + (count[source] > 1)))
         if k < others:
             target = active[k]
             if target >= source:
@@ -272,7 +273,7 @@ def _anneal_chain(
             d_size = 2.0 * te * (s_tgt - s_src + te)
         delta = alpha * d_size + beta * d_interaction
 
-        if delta > 0 and a >= exp(-delta / temperature):
+        if delta > 0 and draw() >= exp(-delta / temperature):
             continue
 
         labels[e] = target

@@ -19,7 +19,7 @@ the whole matrix — CSV and the CLI's ``dsm`` output — builds one dense row
 at a time from the marks, so it touches n² cells; the CLI writes each row as
 it is built, and :func:`write_dsm_csv` joins the same CSV lines.
 ``weights``, the dense (n, n) int64 matrix, is an optional view that nothing
-in the library reads, and the only reader of numpy left in this module.
+in the library reads, and the only reader of numpy in the library.
 """
 
 from __future__ import annotations
@@ -116,7 +116,9 @@ class Dsm:
     def weights(self):
         """The dense (n, n) int64 numpy array, read-only; built from the marks on
         first read.  A weight beyond int64 raises numpy's OverflowError here,
-        and only here: the marks hold it exactly."""
+        and only here: the marks hold it exactly.  The one reader of numpy in
+        the library, which installs it with the ``dense`` extra
+        (``pip install "dsmplan[dense]"``)."""
         import numpy as np
 
         rows, cols, vals = self.marks

@@ -112,21 +112,33 @@ class ConversationPlan:
 
     def __post_init__(self) -> None:
         """The plan-shape rules, user statement first: each element sent is known
-        and sent once; some may be left out.  ValueError names the first fault."""
+        and sent once, some may be left out, and each piece's GM is its members'
+        counts and its FM that GM filled at the config's ratio.  ValueError
+        names the first fault, piece by piece."""
         # window_budget charges USt once, lay_out with each flagged piece: keep them equal
         for k, piece in enumerate(self.pieces[1:], start=2):
             if piece.includes_user_statement:
                 raise ValueError(f"piece {k} carries the user statement; only the first piece may")
         if self.pieces and self.conversation.user_statement_tokens and not self.pieces[0].includes_user_statement:
             raise ValueError("the first piece must carry the conversation's user statement")
-        unsent = set(self.conversation.element_ids)
+        counts = self.conversation.token_counts()
+        unsent = set(counts)
         for k, piece in enumerate(self.pieces, start=1):
             for element_id in piece.element_ids:
                 if element_id not in unsent:
-                    if element_id in self.conversation.element_ids:
+                    if element_id in counts:
                         raise ValueError(f"piece {k} sends {element_id!r} a second time")
                     raise ValueError(f"piece {k} names {element_id!r}, which is not in the conversation")
                 unsent.remove(element_id)
+            # window_budget and output_budget read the fields, lay_out the counts: keep them equal
+            gm = sum(counts[element_id] for element_id in piece.element_ids)
+            if piece.gm_tokens != gm:
+                raise ValueError(f"piece {k} has GM {piece.gm_tokens}, but its elements hold {gm} tokens")
+            fm = _filled_tokens(gm, self.config.fm_ratio)
+            if piece.fm_tokens != fm:
+                raise ValueError(
+                    f"piece {k} has FM {piece.fm_tokens}, but GM {gm} at fm_ratio {self.config.fm_ratio} fills {fm}"
+                )
 
     @cached_property
     def _layout(self) -> PlanLayout:

@@ -250,13 +250,14 @@ def test_search_bracketed_by_brute_force_and_baselines(d):
 def reference_chain(sym, params, tok, chain_index):
     """The annealer as first written: an O(n) scan builds each proposal's
     target list, and a dense (n, n) matrix holds each element's weight into
-    each cluster.  Same RNG draws, same target rule, same acceptance test."""
+    each cluster.  Same draws from ``random()`` in the same order, same target
+    rule, same acceptance test."""
     n = sym.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence([params.seed, chain_index]))
+    draw = random.Random(f"{params.seed}:{chain_index}").random
     cap = params.max_cluster_tokens
     iters = params.iterations_per_restart
     if cap is None:
-        labels = rng.integers(0, n, size=n).astype(np.int64)
+        labels = np.array([int(draw() * n) for _ in range(n)], dtype=np.int64)
     else:
         labels = np.arange(n, dtype=np.int64)
     count = np.bincount(labels, minlength=n).astype(np.int64)
@@ -279,19 +280,17 @@ def reference_chain(sym, params, tok, chain_index):
     best_j = current_j
     temperature = max(1.0, 0.05 * current_j)
     cool = clustering._COOL_RATIO ** (1.0 / iters)
-    picks = rng.integers(0, n, size=iters)
-    target_u = rng.random(iters)
-    accept_u = rng.random(iters)
-    for it in range(iters):
+    for _ in range(iters):
         temperature *= cool
-        e = int(picks[it])
+        e = int(draw() * n)
+        u = draw()
         source = int(labels[e])
         targets = [c for c in range(n) if count[c] > 0 and c != source]
         if count[source] > 1:
             targets.append(next(c for c in range(n) if count[c] == 0))
         if not targets:
             continue
-        target = targets[int(target_u[it] * len(targets))]
+        target = targets[int(u * len(targets))]
         if cap is not None and toksum[target] + tok[e] > cap:
             continue
         d_interaction = int(cluster_weight[e, source] - cluster_weight[e, target])
@@ -301,7 +300,7 @@ def reference_chain(sym, params, tok, chain_index):
             te = tok[e] / mean_tok
             d_size = 2.0 * te * (toksum[target] / mean_tok - toksum[source] / mean_tok + te)
         delta = params.alpha * d_size + params.beta * d_interaction
-        if delta > 0 and accept_u[it] >= math.exp(-delta / temperature):
+        if delta > 0 and draw() >= math.exp(-delta / temperature):
             continue
         labels[e] = target
         count[source] -= 1
@@ -388,15 +387,15 @@ def pin_dsm(n: int = 300, seed: str = "cluster-pin") -> tuple[Dsm, dict[str, int
 PINNED_SEARCHES = {
     "capped count": (
         ClusterParams(max_cluster_tokens=2000),  # the plan path: capped, sized by count
-        "ca48affe90117a1290fc92dc171c9d6c6a3c76effb4ab2fe0c0525e822702e26",
+        "73269a3cf9bed8f3473ae11eefb3ac5f5122ada416592e9c084a43d4ef2b5a01",
     ),
     "uncapped count": (
         ClusterParams(),
-        "ab0b7dc9befcf63d15090a5e03639b15160b6f238e3a280a533b5db780c21d3f",
+        "c4879af7605666ec3b8ff7adfeea3552289ca51002d2334b93b2bd79e7badbb8",
     ),
     "tokens": (
         ClusterParams(size_mode="tokens"),
-        "365147bc1247e7a36bbc649df5e307e7f7d0c51035358d84816864599daad734",
+        "e77816fdb2f16db7c8e3dbeba36513637c76e7fb5510f00140b77db3b32a193e",
     ),
 }
 

@@ -48,20 +48,24 @@ def test_importing_the_package_loads_no_layer_and_no_numpy(module):
 
 
 def test_the_marks_pipeline_loads_no_numpy():
-    # only the optional dense view, Dsm.weights, imports numpy in dsm.py
+    # only the optional dense view, Dsm.weights, imports numpy: the annealed
+    # plan and its simulation load none
     assert _fresh(
         "import json, sys\n"
-        "from dsmplan import Dsm, Permutation, build_dsm, parse_dsm_csv, parse_manifest, permute, to_binary,"
-        " write_dsm_csv\n"
+        "from dsmplan import BudgetConfig, ClusterParams, Dsm, ModelSpec, Permutation, build_dsm, parse_dsm_csv,"
+        " parse_manifest, permute, plan_conversation, simulate, to_binary, write_dsm_csv\n"
         "from dsmplan.data import SPACECRAFT_DSM_TOKENS, SPACECRAFT_MANIFEST\n"
         "from dsmplan.dsm import dsm_from_csv_text\n"
-        "d = build_dsm(parse_manifest(SPACECRAFT_MANIFEST).elements)\n"
+        "conv = parse_manifest(SPACECRAFT_MANIFEST)\n"
+        "d = build_dsm(conv.elements)\n"
         "assert parse_dsm_csv(SPACECRAFT_DSM_TOKENS) == d == Dsm(d.element_ids, d.marks, d.kind)\n"
         "p = permute(d, Permutation(tuple(reversed(range(d.n)))))\n"
         "b = to_binary(p)\n"
         "assert dsm_from_csv_text(write_dsm_csv(b)) == b\n"
-        "print(json.dumps(['numpy' in sys.modules, b.n]))"
-    ) == [False, 13]
+        "_, _, plan = plan_conversation(conv, ClusterParams(), BudgetConfig(), ModelSpec('m', 32000, 8192))\n"
+        "run = simulate(plan, context_window=8000)\n"
+        "print(json.dumps(['numpy' in sys.modules, b.n, len(run.steps) == len(plan.pieces) > 1]))"
+    ) == [False, 13, True]
 
 
 def test_a_plan_is_built_budgeted_and_laid_out_without_the_simulator():

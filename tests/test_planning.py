@@ -34,6 +34,7 @@ from dsmplan.planning import (
     _inflate,
 )
 from dsmplan.sequencing import sequence
+from dsmplan.simulator import simulate
 
 from conftest import REFERENCE_GROUPS
 from oracles import run_then_split
@@ -355,7 +356,8 @@ def test_make_pieces_reads_the_counts_once(spacecraft, spacecraft_dsm, mistral, 
     monkeypatch.setattr(ConversationModel, "token_counts", lambda self: calls.append(self) or token_counts(self))
     clusters = assignment_from_groups(spacecraft_dsm, REFERENCE_GROUPS)
     make_pieces(spacecraft, sequence(spacecraft_dsm), clusters, fixture_config, mistral)
-    assert calls == [spacecraft]
+    # once to weigh every unit, and once more as the plan checks its pieces' GM
+    assert calls == [spacecraft, spacecraft]
 
 
 @pytest.mark.parametrize(
@@ -628,6 +630,32 @@ def test_plan_rejects_a_user_statement_off_the_first_piece(flags, ust, message):
 def test_window_budget_and_stream_charge_the_user_statement_alike(flags, ust):
     plan = _flagged_plan(flags, ust)
     assert window_budget(plan)[0] == plan._layout.piece_ends[-1]  # at margin 0, WB is the whole stream
+
+
+@pytest.mark.parametrize(
+    "figures,fm_ratio,message",
+    [
+        # the budget read these as WB 4, feasible, while the stream held 202 tokens
+        (((1, 1), (1, 1)), 1.0, "piece 1 has GM 1, but its elements hold 100 tokens"),
+        (((100, 100), (100, 1)), 1.0, "piece 2 has FM 1, but GM 100 at fm_ratio 1.0 fills 100"),
+        (((100, 50), (100, 100)), 0.5, "piece 2 has FM 100, but GM 100 at fm_ratio 0.5 fills 50"),
+    ],
+)
+def test_a_piece_carries_its_elements_tokens(figures, fm_ratio, message):
+    conv = _conversation({"a": 100, "b": 100}, {"b": ("a",)})
+    pieces = tuple(ConversationPiece((e,), gm, fm) for e, (gm, fm) in zip("ab", figures))
+    with pytest.raises(ValueError) as raised:
+        ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0, fm_ratio=fm_ratio), conv)
+    assert str(raised.value) == message
+
+
+def test_budget_and_simulation_of_a_hand_built_plan_agree():
+    conv = _conversation({"a": 100, "b": 100}, {"b": ("a",)})
+    pieces = (ConversationPiece(("a",), 100, 100), ConversationPiece(("b",), 100, 100))
+    plan = ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
+    assert window_budget(plan)[0] == plan._layout.piece_ends[-1] == 400
+    run = simulate(plan, context_window=150)  # below WB: b's provider has left the window
+    assert (run.dependency_misses, run.lost_tokens) == (1, 100)
 
 
 def test_budget_config_validation():

@@ -505,8 +505,8 @@ def test_huge_window_never_misses(plan):
 @st.composite
 def any_order_plan(draw):
     """Elements in any order, dependencies in both directions (feedback
-    included), zero-token elements, replies unrelated to the piece size, and
-    margins and output limits under which some replies overflow."""
+    included), zero-token elements, replies at any FM ratio, and margins and
+    output limits under which some replies overflow."""
     n = draw(st.integers(min_value=1, max_value=8))
     ids = [f"e{i}" for i in range(n)]
     counts = {e: draw(st.integers(min_value=0, max_value=40)) for e in ids}
@@ -515,22 +515,19 @@ def any_order_plan(draw):
     order = draw(st.permutations(ids))
     cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1))) if n > 1 else [])
     bounds = [0, *cuts, n]
-    pieces = tuple(
-        ConversationPiece(
-            element_ids=tuple(order[a:b]),
-            gm_tokens=sum(counts[e] for e in order[a:b]),
-            fm_tokens=draw(st.integers(min_value=0, max_value=60)),
-            includes_user_statement=(k == 0),
-        )
-        for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
-    )
     config = BudgetConfig(
         margin=draw(st.sampled_from([0.0, 0.05, 0.1])),
+        fm_ratio=draw(st.sampled_from([0.1, 0.5, 1.0, 1.5])),
         instructions_per_piece=draw(st.integers(min_value=0, max_value=10)),
     )
+    pieces = []
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        gm = sum(counts[e] for e in order[a:b])
+        fm = planning._filled_tokens(gm, config.fm_ratio)
+        pieces.append(ConversationPiece(tuple(order[a:b]), gm, fm, includes_user_statement=(k == 0)))
     # a small OL, so some replies overflow it
     spec = ModelSpec("m", 10**6, draw(st.integers(min_value=1, max_value=60)))
-    return ConversationPlan(pieces=pieces, model=spec, config=config, conversation=conv)
+    return ConversationPlan(pieces=tuple(pieces), model=spec, config=config, conversation=conv)
 
 
 def _entry_tokens(plan: ConversationPlan, piece: ConversationPiece) -> int:
@@ -562,8 +559,9 @@ def test_simulation_conserves_tokens(plan, cw):
     assert (roomy.dependency_misses, roomy.lost_tokens, roomy.missed_pairs) == (0, 0, ())
 
 
-# any_order_plan's stream is at most 20 + 8 * (10 + 40 + 60) = 900 tokens, so the
-# windows reach past the whole stream, where nothing is evicted
+# any_order_plan's stream is at most 904 tokens: USt 20, IntLLM 8 * 10, the
+# elements 8 * 40, and replies at FM ratio 1.5 at most 1.5 * 320 + 8 halves; so
+# the windows reach past the whole stream, where nothing is evicted
 @given(any_order_plan(), st.one_of(st.integers(min_value=1, max_value=1200), st.just(10**9)))
 @settings(max_examples=300)
 def test_simulate_matches_fifo_replay(plan, cw):
@@ -702,8 +700,10 @@ def test_replace_cannot_send_an_element_twice(reference_plan):
 def _faulty_plan(piece_ids, flags=None, ust=0) -> ConversationPlan:
     """A plan over elements "a" (10 tokens) and "big" (500) that may send an
     unknown "z" or an element twice; by default only the first piece carries
-    the user statement."""
-    conv = _conversation({"a": 10, "big": 500}, ust=ust)
+    the user statement.  GM = FM counts each known element once per naming."""
+    counts = {"a": 10, "big": 500}
+    conv = _conversation(counts, ust=ust)
     flags = flags or [k == 0 for k in range(len(piece_ids))]
-    pieces = tuple(ConversationPiece(tuple(ids), 10, 10, flag) for ids, flag in zip(piece_ids, flags))
+    gms = [sum(counts.get(e, 0) for e in ids) for ids in piece_ids]
+    pieces = tuple(ConversationPiece(tuple(ids), gm, gm, flag) for ids, gm, flag in zip(piece_ids, gms, flags))
     return ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
