@@ -62,7 +62,10 @@ class ConversationElement:
     def __post_init__(self) -> None:
         # a repeated dependency is one dependency: one DSM mark, one miss when lost
         object.__setattr__(self, "dependencies", tuple(dict.fromkeys(self.dependencies)))
-        require_int(f"element {self.id!r}: token_count", self.token_count)
+        try:
+            require_int("token_count", self.token_count)
+        except ValueError as exc:  # name the element only on failure: most elements pass
+            raise ValueError(f"element {self.id!r}: {exc}") from None
         if self.token_count < 0:
             raise ValueError(f"element {self.id!r} has negative token count")
 

@@ -23,6 +23,10 @@ one integer, :func:`max_piece_tokens`: with ``fm_max = floor(OL / (1 + MG))``
 FM no larger).  Clustering and cutting compare GM against that cap, and the
 layout compares FM against ``fm_max``, and nothing else.
 
+A plan is built from its pieces' element ids alone: :class:`ConversationPlan`
+derives each piece's GM, FM and user-statement flag, so every cutter hands it
+ids and no piece can disagree with its elements.
+
 A plan is sent as one stream of whole entries: per piece, the user statement
 (first piece only), the instruction block, the piece's elements in order,
 then the modeled reply of exactly ``fm_tokens``.  :func:`window_budget` sums
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -105,40 +109,38 @@ class ConversationPiece:
 
 @dataclass(frozen=True)
 class ConversationPlan:
-    pieces: tuple[ConversationPiece, ...]
+    """A conversation cut into pieces, each given as its element ids in the
+    order sent; elements may be left out.  ``pieces`` is derived, one record
+    per piece: GM is its members' counts, FM that GM filled at the config's
+    ``fm_ratio``, and only the first piece carries the user statement.  So
+    ``replace(plan, config=...)`` re-derives FM and ``replace(plan,
+    piece_ids=...)`` checks the new cut."""
+
+    piece_ids: tuple[tuple[str, ...], ...]
     model: ModelSpec
     config: BudgetConfig
     conversation: ConversationModel
+    pieces: tuple[ConversationPiece, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """The plan-shape rules, user statement first: each element sent is known
-        and sent once, some may be left out, and each piece's GM is its members'
-        counts and its FM that GM filled at the config's ratio.  ValueError
-        names the first fault, piece by piece."""
-        # window_budget charges USt once, lay_out with each flagged piece: keep them equal
-        for k, piece in enumerate(self.pieces[1:], start=2):
-            if piece.includes_user_statement:
-                raise ValueError(f"piece {k} carries the user statement; only the first piece may")
-        if self.pieces and self.conversation.user_statement_tokens and not self.pieces[0].includes_user_statement:
-            raise ValueError("the first piece must carry the conversation's user statement")
+        """Each element a piece names is in the conversation and sent once, and
+        is checked before its count is read.  ValueError names the first fault,
+        piece by piece."""
         counts = self.conversation.token_counts()
         unsent = set(counts)
-        for k, piece in enumerate(self.pieces, start=1):
-            for element_id in piece.element_ids:
+        pieces = []
+        for k, element_ids in enumerate(self.piece_ids, start=1):
+            gm = 0
+            for element_id in element_ids:
                 if element_id not in unsent:
                     if element_id in counts:
                         raise ValueError(f"piece {k} sends {element_id!r} a second time")
                     raise ValueError(f"piece {k} names {element_id!r}, which is not in the conversation")
                 unsent.remove(element_id)
-            # window_budget and output_budget read the fields, lay_out the counts: keep them equal
-            gm = sum(counts[element_id] for element_id in piece.element_ids)
-            if piece.gm_tokens != gm:
-                raise ValueError(f"piece {k} has GM {piece.gm_tokens}, but its elements hold {gm} tokens")
+                gm += counts[element_id]
             fm = _filled_tokens(gm, self.config.fm_ratio)
-            if piece.fm_tokens != fm:
-                raise ValueError(
-                    f"piece {k} has FM {piece.fm_tokens}, but GM {gm} at fm_ratio {self.config.fm_ratio} fills {fm}"
-                )
+            pieces.append(ConversationPiece(element_ids, gm, fm, includes_user_statement=(k == 1)))
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     @cached_property
     def _layout(self) -> PlanLayout:
@@ -291,26 +293,6 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
     )
 
 
-def _plan(
-    chunks: list[tuple[str, ...]],
-    conversation: ConversationModel,
-    counts: dict[str, int],
-    config: BudgetConfig,
-    spec: ModelSpec,
-) -> ConversationPlan:
-    """One piece per chunk of element ids, in order, each weighed by ``counts``
-    (the conversation's :meth:`~ConversationModel.token_counts`); the user
-    statement rides along with the first piece."""
-    pieces = []
-    for k, chunk in enumerate(chunks):
-        gm = sum(counts[e] for e in chunk)
-        fm = _filled_tokens(gm, config.fm_ratio)
-        pieces.append(ConversationPiece(chunk, gm, fm, includes_user_statement=(k == 0)))
-    return ConversationPlan(
-        pieces=tuple(pieces), model=spec, config=config, conversation=conversation
-    )
-
-
 def make_pieces(
     conversation: ConversationModel,
     seq: SequencingResult,
@@ -355,7 +337,7 @@ def make_pieces(
         chunks[-1].extend(order[i : i + size])
         gm += tokens
         i += size
-    return _plan([tuple(chunk) for chunk in chunks], conversation, counts, config, spec)
+    return ConversationPlan(tuple(map(tuple, chunks)), spec, config, conversation)
 
 
 def make_naive_plan(
@@ -367,7 +349,7 @@ def make_naive_plan(
     to show what happens without structure-aware cutting.
     """
     ids = conversation.element_ids
-    return _plan([ids] if ids else [], conversation, conversation.token_counts(), config, spec)
+    return ConversationPlan((ids,) if ids else (), spec, config, conversation)
 
 
 def literal_plan(
@@ -386,7 +368,7 @@ def literal_plan(
         for k, value in enumerate(fm_values)
     )
     conversation = ConversationModel(elements=elements, user_statement_tokens=ust_tokens)
-    return _plan([(e.id,) for e in elements], conversation, conversation.token_counts(), config, spec)
+    return ConversationPlan(tuple((e.id,) for e in elements), spec, config, conversation)
 
 
 def plan_conversation(

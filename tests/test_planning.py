@@ -1,6 +1,7 @@
 import csv
 import math
 from collections import Counter
+from dataclasses import replace
 from decimal import ROUND_CEILING, ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from itertools import groupby
@@ -356,7 +357,7 @@ def test_make_pieces_reads_the_counts_once(spacecraft, spacecraft_dsm, mistral, 
     monkeypatch.setattr(ConversationModel, "token_counts", lambda self: calls.append(self) or token_counts(self))
     clusters = assignment_from_groups(spacecraft_dsm, REFERENCE_GROUPS)
     make_pieces(spacecraft, sequence(spacecraft_dsm), clusters, fixture_config, mistral)
-    # once to weigh every unit, and once more as the plan checks its pieces' GM
+    # once to weigh every unit, and once more as the plan derives its pieces' GM
     assert calls == [spacecraft, spacecraft]
 
 
@@ -602,57 +603,52 @@ def test_piece_validation():
             ConversationPiece(("a",), gm, fm)
 
 
-def _flagged_plan(flags: tuple[bool, ...], ust: int) -> ConversationPlan:
+@pytest.mark.parametrize("ust", [5, 0])
+def test_window_budget_and_stream_charge_the_user_statement_alike(ust):
     conv = ConversationModel(
-        elements=tuple(ConversationElement(id=f"e{k}", label=f"e{k}", token_count=10) for k in range(len(flags))),
+        elements=tuple(ConversationElement(id=f"e{k}", label=f"e{k}", token_count=10) for k in range(2)),
         user_statement_tokens=ust,
     )
-    pieces = tuple(ConversationPiece((f"e{k}",), 10, 10, flag) for k, flag in enumerate(flags))
     config = BudgetConfig(margin=0.0, instructions_per_piece=3)
-    return ConversationPlan(pieces, ModelSpec("m", 1000, 1000), config, conv)
-
-
-@pytest.mark.parametrize(
-    "flags,ust,message",
-    [
-        ((True, True), 5, "piece 2 carries the user statement"),
-        ((True, False, True), 0, "piece 3 carries the user statement"),
-        ((False, True), 5, "piece 2 carries the user statement"),
-        ((False, False), 5, "the first piece must carry"),
-    ],
-)
-def test_plan_rejects_a_user_statement_off_the_first_piece(flags, ust, message):
-    with pytest.raises(ValueError, match=message):
-        _flagged_plan(flags, ust)
-
-
-@pytest.mark.parametrize("flags,ust", [((True, False), 5), ((True, False), 0), ((False, False), 0)])
-def test_window_budget_and_stream_charge_the_user_statement_alike(flags, ust):
-    plan = _flagged_plan(flags, ust)
+    plan = ConversationPlan((("e0",), ("e1",)), ModelSpec("m", 1000, 1000), config, conv)
     assert window_budget(plan)[0] == plan._layout.piece_ends[-1]  # at margin 0, WB is the whole stream
 
 
-@pytest.mark.parametrize(
-    "figures,fm_ratio,message",
-    [
-        # the budget read these as WB 4, feasible, while the stream held 202 tokens
-        (((1, 1), (1, 1)), 1.0, "piece 1 has GM 1, but its elements hold 100 tokens"),
-        (((100, 100), (100, 1)), 1.0, "piece 2 has FM 1, but GM 100 at fm_ratio 1.0 fills 100"),
-        (((100, 50), (100, 100)), 0.5, "piece 2 has FM 100, but GM 100 at fm_ratio 0.5 fills 50"),
-    ],
-)
-def test_a_piece_carries_its_elements_tokens(figures, fm_ratio, message):
-    conv = _conversation({"a": 100, "b": 100}, {"b": ("a",)})
-    pieces = tuple(ConversationPiece((e,), gm, fm) for e, (gm, fm) in zip("ab", figures))
-    with pytest.raises(ValueError) as raised:
-        ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0, fm_ratio=fm_ratio), conv)
-    assert str(raised.value) == message
+_FM_RATIOS = st.sampled_from([0.05, 0.1, 0.25, 0.33, 0.5, 0.75, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def cut_plans(draw):
+    """A random conversation at a random FM ratio, cut into pieces of any
+    elements in any order, some elements left out."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    counts = {f"e{i}": draw(st.integers(min_value=0, max_value=500)) for i in range(n)}
+    elements = tuple(ConversationElement(id=e, label=e, token_count=c) for e, c in counts.items())
+    conv = ConversationModel(elements=elements, user_statement_tokens=draw(st.integers(min_value=0, max_value=50)))
+    sent = draw(st.permutations(list(counts)))[: draw(st.integers(min_value=0, max_value=n))]
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=len(sent) - 1)))) if len(sent) > 1 else []
+    bounds = [0, *cuts, len(sent)] if sent else [0]
+    piece_ids = tuple(tuple(sent[a:b]) for a, b in zip(bounds, bounds[1:]))
+    config = BudgetConfig(margin=0.0, fm_ratio=draw(_FM_RATIOS))
+    return ConversationPlan(piece_ids, ModelSpec("m", 10**6, 10**6), config, conv)
+
+
+@given(cut_plans(), _FM_RATIOS)
+@settings(max_examples=200)
+def test_a_plan_derives_each_piece_from_its_ids(plan, fm_ratio):
+    counts = plan.conversation.token_counts()
+    refilled = replace(plan, config=replace(plan.config, fm_ratio=fm_ratio))
+    for derived in (plan, refilled):
+        assert [p.element_ids for p in derived.pieces] == list(plan.piece_ids)
+        for k, piece in enumerate(derived.pieces):
+            assert piece.gm_tokens == sum(counts[e] for e in piece.element_ids)
+            assert piece.fm_tokens == round_half_up_oracle(piece.gm_tokens, derived.config.fm_ratio)
+            assert piece.includes_user_statement == (k == 0)
 
 
 def test_budget_and_simulation_of_a_hand_built_plan_agree():
     conv = _conversation({"a": 100, "b": 100}, {"b": ("a",)})
-    pieces = (ConversationPiece(("a",), 100, 100), ConversationPiece(("b",), 100, 100))
-    plan = ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
+    plan = ConversationPlan((("a",), ("b",)), ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
     assert window_budget(plan)[0] == plan._layout.piece_ends[-1] == 400
     run = simulate(plan, context_window=150)  # below WB: b's provider has left the window
     assert (run.dependency_misses, run.lost_tokens) == (1, 100)

@@ -165,17 +165,7 @@ def _conversation(counts, deps=None, ust=0):
 def _manual_plan(conv, piece_ids, spec, inst=0):
     """Pieces cut by hand, fm = gm, margin 0."""
     config = BudgetConfig(margin=0.0, instructions_per_piece=inst)
-    counts = conv.token_counts()
-    pieces = tuple(
-        ConversationPiece(
-            element_ids=tuple(ids),
-            gm_tokens=sum(counts[e] for e in ids),
-            fm_tokens=sum(counts[e] for e in ids),
-            includes_user_statement=(k == 0),
-        )
-        for k, ids in enumerate(piece_ids)
-    )
-    return ConversationPlan(pieces=pieces, model=spec, config=config, conversation=conv)
+    return ConversationPlan(tuple(map(tuple, piece_ids)), spec, config, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +379,8 @@ def test_a_provider_never_sent_is_no_early_pair():
 )
 def test_malformed_plan_is_rejected(piece_ids, message):
     conv = _conversation({"a": 10, "b": 10, "c": 10}, {"c": ("a",)})
-    pieces = tuple(
-        ConversationPiece((e,), 10, 10, includes_user_statement=(k == 0))
-        for k, (e,) in enumerate(piece_ids)
-    )
     with pytest.raises(ValueError, match=message):
-        ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
+        ConversationPlan(tuple(map(tuple, piece_ids)), ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
 
 
 def test_oversized_piece_reported_or_raised(naive_plan):
@@ -520,14 +506,10 @@ def any_order_plan(draw):
         fm_ratio=draw(st.sampled_from([0.1, 0.5, 1.0, 1.5])),
         instructions_per_piece=draw(st.integers(min_value=0, max_value=10)),
     )
-    pieces = []
-    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        gm = sum(counts[e] for e in order[a:b])
-        fm = planning._filled_tokens(gm, config.fm_ratio)
-        pieces.append(ConversationPiece(tuple(order[a:b]), gm, fm, includes_user_statement=(k == 0)))
+    piece_ids = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
     # a small OL, so some replies overflow it
     spec = ModelSpec("m", 10**6, draw(st.integers(min_value=1, max_value=60)))
-    return ConversationPlan(pieces=tuple(pieces), model=spec, config=config, conversation=conv)
+    return ConversationPlan(piece_ids, spec, config, conv)
 
 
 def _entry_tokens(plan: ConversationPlan, piece: ConversationPiece) -> int:
@@ -676,34 +658,15 @@ def test_first_fault_in_piece_order_decides_the_error(piece_ids, message):
     assert str(raised.value) == message
 
 
-@pytest.mark.parametrize(
-    "flags,ust,message",
-    [
-        ((False, False), 5, "the first piece must carry the conversation's user statement"),
-        ((True, True), 0, "piece 2 carries the user statement; only the first piece may"),
-    ],
-)
-def test_a_first_piece_fault_comes_before_an_unknown_element(flags, ust, message):
-    with pytest.raises(ValueError) as raised:
-        _faulty_plan([["a"], ["z"]], flags, ust)
-    assert str(raised.value) == message
-
-
 def test_replace_cannot_send_an_element_twice(reference_plan):
-    first = reference_plan.pieces[0]
-    again = dataclasses.replace(first, includes_user_statement=False)
+    first = reference_plan.piece_ids[0]
     with pytest.raises(ValueError) as raised:
-        dataclasses.replace(reference_plan, pieces=(*reference_plan.pieces, again))
-    assert str(raised.value) == f"piece {len(reference_plan.pieces) + 1} sends {first.element_ids[0]!r} a second time"
+        dataclasses.replace(reference_plan, piece_ids=(*reference_plan.piece_ids, first))
+    assert str(raised.value) == f"piece {len(reference_plan.piece_ids) + 1} sends {first[0]!r} a second time"
 
 
-def _faulty_plan(piece_ids, flags=None, ust=0) -> ConversationPlan:
+def _faulty_plan(piece_ids) -> ConversationPlan:
     """A plan over elements "a" (10 tokens) and "big" (500) that may send an
-    unknown "z" or an element twice; by default only the first piece carries
-    the user statement.  GM = FM counts each known element once per naming."""
-    counts = {"a": 10, "big": 500}
-    conv = _conversation(counts, ust=ust)
-    flags = flags or [k == 0 for k in range(len(piece_ids))]
-    gms = [sum(counts.get(e, 0) for e in ids) for ids in piece_ids]
-    pieces = tuple(ConversationPiece(tuple(ids), gm, gm, flag) for ids, gm, flag in zip(piece_ids, gms, flags))
-    return ConversationPlan(pieces, ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
+    unknown "z" or an element twice."""
+    conv = _conversation({"a": 10, "big": 500})
+    return ConversationPlan(tuple(map(tuple, piece_ids)), ModelSpec("m", 1000, 1000), BudgetConfig(margin=0.0), conv)
