@@ -347,7 +347,7 @@ def _simulation_payload(report: SimulationReport) -> dict[str, Any]:
 
 def cmd_dsm(settings: dict[str, Any]) -> int:
     conversation = _conversation(settings)
-    matrix = build_dsm(conversation.elements)
+    matrix = build_dsm(conversation)
     if settings["permute"] == "sequence":
         matrix = permute(matrix, sequence(matrix).order)
     if settings["binary"]:
@@ -384,7 +384,7 @@ def _json_list(items: list[str], indent: int) -> str:
 
 def cmd_sequence(settings: dict[str, Any]) -> int:
     conversation = _conversation(settings)
-    seq = sequence(build_dsm(conversation.elements))
+    seq = sequence(build_dsm(conversation))
     if settings["format"] == "json":
         _emit_json(
             {

@@ -186,23 +186,27 @@ def _neighbours(dsm: Dsm) -> list[list[tuple[int, int]]]:
 
 
 def _anneal_chain(
+    dsm: Dsm,
     nbrs: list[list[tuple[int, int]]],
-    total: int,
     params: ClusterParams,
     tok: list[int],
     chain_index: int,
+    singletons: tuple[float, float, int],
 ) -> tuple[list[int], float]:
-    """One annealing restart; returns the best label vector seen and its tracked J."""
-    n = len(nbrs)
+    """One annealing restart from the :func:`_score` of its drawn labels, or of
+    singletons when capped (``singletons``, which the caller scores once for
+    every chain); returns the best label vector seen and its tracked J."""
+    n = dsm.n
     draw = random.Random(f"{params.seed}:{chain_index}").random
     cap = params.max_cluster_tokens
     iters = params.iterations_per_restart
 
     if cap is None:
         labels = [int(draw() * n) for _ in range(n)]
+        current_j, size_sq, interaction = _score(dsm, labels, params, tok)
     else:
         labels = list(range(n))  # singletons are always cap-feasible here
-    size_sq = _size_sq(labels, params, tok)
+        current_j, size_sq, interaction = singletons
     limit = math.inf if cap is None else cap
     count = [0] * n
     toksum = [0] * n
@@ -211,18 +215,7 @@ def _anneal_chain(
         toksum[label] += tok[pos]
     mean_tok = _mean_tokens(params, tok)  # 0.0: clusters are sized by count
 
-    # exact integer interaction bookkeeping: I0 = total - intra, and a
-    # capped chain starts from singletons, which hold no intra weight
-    intra = 0
-    if cap is None:
-        for pos, row in enumerate(nbrs):
-            for other, w in row:
-                if other < pos and labels[other] == labels[pos]:
-                    intra += w
-    interaction = total - intra
-
     alpha, beta, exp = params.alpha, params.beta, math.exp
-    current_j = alpha * size_sq + beta * interaction
     best_j = current_j
     best_labels = labels.copy()
 
@@ -353,13 +346,13 @@ def cluster(
         return _finalize(dsm, range(n), params, tok)
 
     nbrs = _neighbours(dsm)
-    total = sum(dsm.marks[2])
+    singletons = _score(dsm, range(n), params, tok)
     scored: list[tuple[float, Sequence[int]]] = []  # (J, labels) per candidate
     for chain in range(params.restarts):
-        labels, tracked_j = _anneal_chain(nbrs, total, params, tok, chain)
+        labels, tracked_j = _anneal_chain(dsm, nbrs, params, tok, chain, singletons)
         scored.append((_score(dsm, labels, params, tok)[0], labels))
         _check_tracked(tracked_j, scored[-1][0], params, tok)
-    scored.append((_score(dsm, range(n), params, tok)[0], range(n)))  # all singletons
+    scored.append((singletons[0], range(n)))
     if cap is None or sum(tok) <= cap:
         scored.append((_score(dsm, [0] * n, params, tok)[0], [0] * n))
     # first minimum: ties go to the earlier candidate

@@ -41,7 +41,7 @@ from .errors import (
     all_ints,
     require_int,
 )
-from .manifest import ConversationElement, check_references, read_text_file
+from .manifest import ConversationElement, ConversationModel, read_text_file
 
 BINARY = "binary"
 NUMERICAL = "numerical"
@@ -189,15 +189,17 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-def build_dsm(elements: Iterable[ConversationElement]) -> Dsm:
-    """Build the numerical DSM of a conversation.
+def build_dsm(conversation: ConversationModel | Iterable[ConversationElement]) -> Dsm:
+    """Build the numerical DSM of a conversation, a :class:`ConversationModel`
+    whose ``positions`` it reads, or its elements, which it makes into one.
 
     Cell [i][j] holds the token count of element j when i depends on j, else 0;
     every dependency is charged at the full cost of re-sending the provider.
     A provider whose token count is zero therefore leaves no mark.
     """
-    elements = list(elements)
-    index = check_references(elements)
+    if not isinstance(conversation, ConversationModel):
+        conversation = ConversationModel(tuple(conversation))
+    elements, index = conversation.elements, conversation.positions
     rows = [i for i, element in enumerate(elements) for _ in element.dependencies]
     cols = [index[dep] for element in elements for dep in element.dependencies]
     vals = [elements[j].token_count for j in cols]

@@ -75,11 +75,13 @@ class ConversationModel:
     """A parsed conversation: elements plus fixed per-conversation token costs.
 
     Its elements pass :func:`check_references`: ids are unique and every
-    dependency names another element, however the model was built."""
+    dependency names another element, however the model was built.  It keeps
+    the id -> position map that check returns as ``positions``."""
 
     elements: tuple[ConversationElement, ...]
     user_statement_tokens: int = 0
     instruction_tokens: int = 0
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -87,7 +89,7 @@ class ConversationModel:
             require_int(name, getattr(self, name))
         if self.user_statement_tokens < 0 or self.instruction_tokens < 0:
             raise ValueError("token overheads must be non-negative")
-        check_references(self.elements)
+        object.__setattr__(self, "positions", check_references(self.elements))
 
     @property
     def element_ids(self) -> tuple[str, ...]:
@@ -270,7 +272,8 @@ def parse_manifest(path: str | Path, table: Mapping[str, int] | None = None) -> 
 
     Errors come in this order: any malformed element field, then the
     :func:`check_references` errors, then per element in order a text-and-
-    tokens clash, a count that cannot be resolved, or a negative count.
+    tokens clash, a count that cannot be resolved, or a negative count.  The
+    model checks a good manifest's references, the fields only after a fault.
     """
     doc = read_json_file(path, "manifest")
     if not isinstance(doc, dict):
@@ -280,13 +283,14 @@ def parse_manifest(path: str | Path, table: Mapping[str, int] | None = None) -> 
         raise ParseError("manifest needs an 'elements' list")
 
     fields = [_parse_element(raw, k) for k, raw in enumerate(raw_elements)]
-    check_references(fields)  # type: ignore[arg-type]
-    elements = [
-        ConversationElement(f.id, f.label, f.dependencies, f.text, token_count=_element_tokens(f, table))
-        for f in fields
-    ]
-    return ConversationModel(
-        elements=tuple(elements),
-        user_statement_tokens=_statement_tokens(doc.get("user_statement"), "user_statement"),
-        instruction_tokens=_statement_tokens(doc.get("instructions"), "instructions"),
-    )
+    try:
+        elements = tuple(
+            ConversationElement(f.id, f.label, f.dependencies, f.text, token_count=_element_tokens(f, table))
+            for f in fields
+        )
+        user_statement_tokens = _statement_tokens(doc.get("user_statement"), "user_statement")
+        instruction_tokens = _statement_tokens(doc.get("instructions"), "instructions")
+    except ValueError:
+        check_references(fields)  # type: ignore[arg-type]
+        raise
+    return ConversationModel(elements, user_statement_tokens, instruction_tokens)

@@ -390,7 +390,7 @@ def plan_conversation(
     for element_id, count in counts.items():
         if count > cap:
             raise UnsplittablePiece(element_id)
-    dsm = build_dsm(conversation.elements)
+    dsm = build_dsm(conversation)
     clusters = cluster(dsm, replace(cluster_params, max_cluster_tokens=cap), token_counts=counts)
     seq = sequence(dsm)
     return seq, clusters, make_pieces(conversation, seq, clusters, config, spec)

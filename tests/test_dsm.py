@@ -44,6 +44,8 @@ def test_build_dsm_columns_carry_provider_tokens(spacecraft, spacecraft_dsm):
     assert d.weights[at["D"], at["C"]] == 3082
     assert d.weights[at["M"], at["K"]] == 239
     assert d.weights[at["A"], at["B"]] == 0
+    # the conversation itself gives the matrix its elements give
+    assert build_dsm(spacecraft) == spacecraft_dsm
 
 
 def test_spacecraft_totals_match_frozen(spacecraft_dsm, expected):

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dsmplan import manifest
 from dsmplan.clustering import ClusterParams, assignment_from_groups
+from dsmplan.data import SPACECRAFT_MANIFEST
 from dsmplan.dsm import build_dsm
 from dsmplan.errors import DuplicateModelName, ParseError, UnknownModel, UnsplittablePiece
-from dsmplan.manifest import ConversationElement, ConversationModel
+from dsmplan.manifest import ConversationElement, ConversationModel, parse_manifest
 from dsmplan.planning import (
     BudgetConfig,
     ConversationPiece,
@@ -359,6 +361,16 @@ def test_make_pieces_reads_the_counts_once(spacecraft, spacecraft_dsm, mistral, 
     make_pieces(spacecraft, sequence(spacecraft_dsm), clusters, fixture_config, mistral)
     # once to weigh every unit, and once more as the plan derives its pieces' GM
     assert calls == [spacecraft, spacecraft]
+
+
+def test_a_good_manifest_is_checked_once_on_the_way_to_a_plan(mistral, fixture_config, monkeypatch):
+    calls = []
+    check_references = manifest.check_references
+    monkeypatch.setattr(manifest, "check_references", lambda elements: calls.append(1) or check_references(elements))
+    conversation = parse_manifest(SPACECRAFT_MANIFEST)
+    plan_conversation(conversation, ClusterParams(restarts=2, iterations_per_restart=100), fixture_config, mistral)
+    # by the model the parse builds; the matrix reads the model's map
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
