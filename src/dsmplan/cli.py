@@ -20,11 +20,11 @@ import json
 import sys
 from dataclasses import asdict, replace
 from functools import partial
-from typing import Any, NamedTuple, TextIO
+from typing import Any, NamedTuple
 
 from .clustering import SIZE_MODE_COUNT, SIZE_MODE_TOKENS, ClusterParams
 from .data import MODEL_CATALOG
-from .dsm import Dsm, _csv_lines, build_dsm, permute, to_binary
+from .dsm import build_dsm, permute, to_binary, write_dsm
 from .errors import ParseError, UnsplittablePiece
 from .manifest import ConversationModel, load_token_table, parse_manifest, read_json_file
 from .planning import (
@@ -70,7 +70,7 @@ _SETTINGS: dict[str, _Setting] = {
     "tokens": _Setting("approx", str, help="'approx' or 'table:PATH'", metavar="MODE"),
     "cw": _Setting(None, int, help="context window override"),
     "ol": _Setting(None, int, help="max output tokens override"),
-    "format": _Setting(None, str),  # each command has its own formats and default
+    "format": _Setting(None, str),  # each command has its own formats, the first its default
     "naive": _Setting(False, bool, help="single piece, no matrix"),
     "binary": _Setting(False, bool, help="marks instead of weights"),
     "permute": _Setting("none", str, ("none", "sequence"), help="row/column order"),
@@ -118,31 +118,31 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_dsm, ("csv", "text", "json"))
     _flag(p_dsm, "binary")
     _flag(p_dsm, "permute")
-    p_dsm.set_defaults(func=cmd_dsm, default_format="csv")
+    p_dsm.set_defaults(func=cmd_dsm)
 
     p_seq = add_parser("sequence", help="levels and element order")
     _add_common(p_seq, ("text", "json"))
-    p_seq.set_defaults(func=cmd_sequence, default_format="text")
+    p_seq.set_defaults(func=cmd_sequence)
 
     p_cluster = add_parser("cluster", help="cluster the matrix (capped by the model's limits)")
     _add_common(p_cluster, ("text", "json"))
-    p_cluster.set_defaults(func=cmd_cluster, default_format="text")
+    p_cluster.set_defaults(func=cmd_cluster)
 
     p_plan = add_parser("plan", help="pieces plus budgets plus verdict")
     _add_common(p_plan, ("text", "json"))
     _flag(p_plan, "naive")
-    p_plan.set_defaults(func=cmd_plan, default_format="text")
+    p_plan.set_defaults(func=cmd_plan)
 
     p_budget = add_parser("budget", help="token budget report only")
     _add_common(p_budget, ("text", "json"))
     _flag(p_budget, "naive", help=None)
     _flag(p_budget, "fm")
     _flag(p_budget, "ust")
-    p_budget.set_defaults(func=cmd_budget, default_format="text")
+    p_budget.set_defaults(func=cmd_budget)
 
     p_sim = add_parser("simulate", help="FIFO window losses, naive vs planned")
     _add_common(p_sim, ("text", "json"))
-    p_sim.set_defaults(func=cmd_simulate, default_format="text")
+    p_sim.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -191,7 +191,7 @@ def _merge(args: argparse.Namespace) -> dict[str, Any]:
         if value is not None:
             settings[key] = value
     if settings["format"] is None:
-        settings["format"] = args.default_format
+        settings["format"] = args.formats[0]
     settings["budget"] = BudgetConfig(
         margin=settings["margin"],
         fm_ratio=settings["fm_ratio"],
@@ -220,7 +220,7 @@ def _provider(settings: dict[str, Any]) -> dict[str, int] | None:
     spec = settings["tokens"]
     if spec == "approx":
         return None
-    if isinstance(spec, str) and spec.startswith("table:"):
+    if spec.startswith("table:"):
         return load_token_table(spec[len("table:") :])
     raise ParseError(f"--tokens must be 'approx' or 'table:PATH', got {spec!r}")
 
@@ -352,34 +352,8 @@ def cmd_dsm(settings: dict[str, Any]) -> int:
         matrix = permute(matrix, sequence(matrix).order)
     if settings["binary"]:
         matrix = to_binary(matrix)
-    _write_dsm(matrix, settings["format"], sys.stdout)
+    write_dsm(matrix, settings["format"], sys.stdout)
     return 0
-
-
-def _write_dsm(matrix: Dsm, fmt: str, out: TextIO) -> None:
-    """Write the matrix as ``dsm`` prints it, a row at a time."""
-    if fmt == "csv":
-        out.writelines(_csv_lines(matrix))
-    elif fmt == "json":  # json.dumps(..., indent=2) of the same object
-        out.write('{\n  "element_ids": ' + _json_list([json.dumps(e) for e in matrix.element_ids], 4))
-        out.write(',\n  "kind": ' + json.dumps(matrix.kind) + ',\n  "weights": [')
-        for i, cells in enumerate(matrix._dense_rows("0", str)):
-            out.write((",\n    " if i else "\n    ") + _json_list(cells, 6))
-        out.write("\n  ]\n}\n" if matrix.n else "]\n}\n")
-    else:
-        width = max((len(e) for e in matrix.element_ids), default=1) + 1
-        out.write(" " * width + "".join(f"{e:>{width}}" for e in matrix.element_ids) + "\n")
-        mark, blank = f"{'X':>{width}}", f"{'.':>{width}}"
-        for element_id, cells in zip(matrix.element_ids, matrix._dense_rows(blank, lambda _: mark)):
-            out.write(f"{element_id:<{width}}" + "".join(cells) + "\n")
-
-
-def _json_list(items: list[str], indent: int) -> str:
-    """``json.dumps(..., indent=2)`` of a list nested ``indent`` spaces deep, from its items already encoded."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * indent
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * (indent - 2) + "]"
 
 
 def cmd_sequence(settings: dict[str, Any]) -> int:

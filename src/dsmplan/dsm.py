@@ -16,20 +16,21 @@ comparing, hashing, sequencing, reachability and the clustering scores all
 cost O(n + marks), every weight is an exact Python int however large, and
 planning a conversation never allocates an n×n array.  Output that prints
 the whole matrix — CSV and the CLI's ``dsm`` output — builds one dense row
-at a time from the marks, so it touches n² cells; the CLI writes each row as
-it is built, and :func:`write_dsm_csv` joins the same CSV lines.
+at a time from the marks, so it touches n² cells; :func:`write_dsm` writes
+each row as it is built, and :func:`write_dsm_csv` joins the same CSV lines.
 ``weights``, the dense (n, n) int64 matrix, is an optional view that nothing
 in the library reads, and the only reader of numpy in the library.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import lt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     DuplicateId,
@@ -247,6 +248,32 @@ def _csv_lines(dsm: Dsm) -> Iterator[str]:
 
 def write_dsm_csv(dsm: Dsm) -> str:
     return "".join(_csv_lines(dsm))
+
+
+def write_dsm(dsm: Dsm, fmt: str, out: TextIO) -> None:
+    """Write the matrix as ``dsmplan dsm --format fmt`` prints it, a row at a time."""
+    if fmt == "csv":
+        out.writelines(_csv_lines(dsm))
+    elif fmt == "json":  # json.dumps(..., indent=2) of the same object
+        out.write('{\n  "element_ids": ' + _json_list([json.dumps(e) for e in dsm.element_ids], 4))
+        out.write(',\n  "kind": ' + json.dumps(dsm.kind) + ',\n  "weights": [')
+        for i, cells in enumerate(dsm._dense_rows("0", str)):
+            out.write((",\n    " if i else "\n    ") + _json_list(cells, 6))
+        out.write("\n  ]\n}\n" if dsm.n else "]\n}\n")
+    else:
+        width = max((len(e) for e in dsm.element_ids), default=1) + 1
+        out.write(" " * width + "".join(f"{e:>{width}}" for e in dsm.element_ids) + "\n")
+        mark, blank = f"{'X':>{width}}", f"{'.':>{width}}"
+        for element_id, cells in zip(dsm.element_ids, dsm._dense_rows(blank, lambda _: mark)):
+            out.write(f"{element_id:<{width}}" + "".join(cells) + "\n")
+
+
+def _json_list(items: list[str], indent: int) -> str:
+    """``json.dumps(..., indent=2)`` of a list nested ``indent`` spaces deep, from its items already encoded."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * (indent - 2) + "]"
 
 
 def dsm_from_csv_text(text: str) -> Dsm:

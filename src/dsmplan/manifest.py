@@ -76,12 +76,14 @@ class ConversationModel:
 
     Its elements pass :func:`check_references`: ids are unique and every
     dependency names another element, however the model was built.  It keeps
-    the id -> position map that check returns as ``positions``."""
+    the id -> position map that check returns as ``positions`` and the id ->
+    count map as ``counts``, which the pipeline reads; :meth:`token_counts` copies it."""
 
     elements: tuple[ConversationElement, ...]
     user_statement_tokens: int = 0
     instruction_tokens: int = 0
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    counts: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -90,13 +92,14 @@ class ConversationModel:
         if self.user_statement_tokens < 0 or self.instruction_tokens < 0:
             raise ValueError("token overheads must be non-negative")
         object.__setattr__(self, "positions", check_references(self.elements))
+        object.__setattr__(self, "counts", {e.id: e.token_count for e in self.elements})
 
     @property
     def element_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.elements)
 
     def token_counts(self) -> dict[str, int]:
-        return {e.id: e.token_count for e in self.elements}
+        return dict(self.counts)
 
     def dependencies(self) -> dict[str, tuple[str, ...]]:
         return {e.id: e.dependencies for e in self.elements}

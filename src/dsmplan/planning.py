@@ -126,7 +126,7 @@ class ConversationPlan:
         """Each element a piece names is in the conversation and sent once, and
         is checked before its count is read.  ValueError names the first fault,
         piece by piece."""
-        counts = self.conversation.token_counts()
+        counts = self.conversation.counts
         unsent = set(counts)
         pieces = []
         for k, element_ids in enumerate(self.piece_ids, start=1):
@@ -243,7 +243,7 @@ def lay_out(plan: ConversationPlan) -> PlanLayout:
 
     A piece too large for some window is no fault: the layout does not depend on the window.
     """
-    counts = plan.conversation.token_counts()
+    counts = plan.conversation.counts
     deps = plan.conversation.dependencies()
     inst = plan.config.instructions_per_piece
     ust = plan.conversation.user_statement_tokens
@@ -309,10 +309,9 @@ def make_pieces(
     cap, so no boundary falls inside a group that fits.  The user statement
     rides along with the first piece.
     """
-    ids = set(conversation.element_ids)
-    if ids != set(seq.element_ids) or ids != set(clusters.cluster_of):
+    counts = conversation.counts
+    if counts.keys() != set(seq.element_ids) or counts.keys() != set(clusters.cluster_of):
         raise ValueError("sequence and clusters must cover exactly the conversation elements")
-    counts = conversation.token_counts()
     cluster_sizes = Counter(clusters.cluster_of.values())
 
     cap = max_piece_tokens(config, spec)
@@ -385,13 +384,12 @@ def plan_conversation(
     :func:`cluster` gives it the empty assignment and :func:`make_pieces` the
     zero-piece plan, as :func:`make_naive_plan` gives it.
     """
-    counts = conversation.token_counts()
     cap = max_piece_tokens(config, spec)
-    for element_id, count in counts.items():
+    for element_id, count in conversation.counts.items():
         if count > cap:
             raise UnsplittablePiece(element_id)
     dsm = build_dsm(conversation)
-    clusters = cluster(dsm, replace(cluster_params, max_cluster_tokens=cap), token_counts=counts)
+    clusters = cluster(dsm, replace(cluster_params, max_cluster_tokens=cap), token_counts=conversation.counts)
     seq = sequence(dsm)
     return seq, clusters, make_pieces(conversation, seq, clusters, config, spec)
 

@@ -30,7 +30,6 @@ from dsmplan.clustering import (
     assignment_from_groups,
     cluster,
 )
-from dsmplan.cli import _write_dsm
 from dsmplan.dsm import (
     _ID_CHARS,
     BINARY,
@@ -42,6 +41,7 @@ from dsmplan.dsm import (
     dsm_from_csv_text,
     permute,
     to_binary,
+    write_dsm,
     write_dsm_csv,
 )
 from dsmplan.errors import (
@@ -226,7 +226,7 @@ def dense_json(d: Dsm) -> str:
 def cli_dsm(d: Dsm, fmt: str) -> str:
     """What ``dsmplan dsm --format fmt`` prints for this matrix."""
     out = io.StringIO()
-    _write_dsm(d, fmt, out)
+    write_dsm(d, fmt, out)
     return out.getvalue()
 
 
@@ -407,7 +407,7 @@ def test_printed_matrix_matches_the_dense_renderers(case):
     else:
         out = io.StringIO()
         with pytest.raises(ParseError, match="needs quoting"):
-            _write_dsm(d, "csv", out)
+            write_dsm(d, "csv", out)
         assert out.getvalue() == ""  # the id check comes before the first byte
         with pytest.raises(ParseError, match="needs quoting"):
             write_dsm_csv(d)

@@ -37,7 +37,8 @@ from dsmplan.planning import (
     _inflate,
 )
 from dsmplan.sequencing import sequence
-from dsmplan.simulator import simulate
+from dsmplan.cli import main
+from dsmplan.simulator import loss_curve, simulate
 
 from conftest import REFERENCE_GROUPS
 from oracles import run_then_split
@@ -353,14 +354,41 @@ def test_make_pieces_requires_matching_element_sets(spacecraft, spacecraft_dsm, 
         make_pieces(spacecraft, seq, clusters, BudgetConfig(), mistral)
 
 
-def test_make_pieces_reads_the_counts_once(spacecraft, spacecraft_dsm, mistral, fixture_config, monkeypatch):
+def test_the_plan_path_reads_the_models_count_map(mistral, fixture_config, monkeypatch, capsys):
     calls = []
     token_counts = ConversationModel.token_counts
     monkeypatch.setattr(ConversationModel, "token_counts", lambda self: calls.append(self) or token_counts(self))
-    clusters = assignment_from_groups(spacecraft_dsm, REFERENCE_GROUPS)
-    make_pieces(spacecraft, sequence(spacecraft_dsm), clusters, fixture_config, mistral)
-    # once to weigh every unit, and once more as the plan derives its pieces' GM
-    assert calls == [spacecraft, spacecraft]
+    conversation = parse_manifest(SPACECRAFT_MANIFEST)
+    params = ClusterParams(restarts=2, iterations_per_restart=100)
+    counted = {}
+
+    def run(name, step):
+        calls.clear()
+        result = step()
+        counted[name] = len(calls)
+        return result
+
+    _, _, plan = run("plan_conversation", lambda: plan_conversation(conversation, params, fixture_config, mistral))
+    run("budget_report", lambda: budget_report(plan))
+    run("simulate", lambda: [simulate(plan, context_window=cw) for cw in (4000, 32000)])
+    run("loss_curve", lambda: loss_curve(plan))
+    run("dsmplan simulate", lambda: main(["simulate", "--manifest", str(SPACECRAFT_MANIFEST), "--cw", "8000"]))
+    capsys.readouterr()
+    # every step reads the one map the model built; none copies it out
+    assert counted == dict.fromkeys(counted, 0)
+    assert plan.conversation.counts is conversation.counts
+
+
+def test_editing_the_token_counts_copy_moves_no_plan(spacecraft, mistral, fixture_config):
+    before = make_naive_plan(spacecraft, fixture_config, mistral)
+    counts = spacecraft.token_counts()
+    for element_id in counts:
+        counts[element_id] += 1000
+    counts["extra"] = 1
+    after = make_naive_plan(spacecraft, fixture_config, mistral)
+    assert [p.gm_tokens for p in after.pieces] == [p.gm_tokens for p in before.pieces]
+    assert budget_report(after).wb == budget_report(before).wb
+    assert spacecraft.token_counts() == {e.id: e.token_count for e in spacecraft.elements}
 
 
 def test_a_good_manifest_is_checked_once_on_the_way_to_a_plan(mistral, fixture_config, monkeypatch):
