@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import asdict, replace
 from functools import partial
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .clustering import SIZE_MODE_COUNT, SIZE_MODE_TOKENS, ClusterParams
 from .data import MODEL_CATALOG
@@ -41,7 +41,9 @@ from .planning import (
     plan_conversation,
 )
 from .sequencing import SequencingResult, sequence
-from .simulator import SimulationReport, compare, simulate
+
+if TYPE_CHECKING:  # only `simulate` loads the simulator
+    from .simulator import SimulationReport
 
 
 class _Setting(NamedTuple):
@@ -467,6 +469,8 @@ def cmd_budget(settings: dict[str, Any]) -> int:
 
 
 def cmd_simulate(settings: dict[str, Any]) -> int:
+    from .simulator import compare, simulate
+
     conversation = _conversation(settings)
     naive_plan, optimized_plan = _build_plans(settings, conversation)
     cw = settings["cw"]

@@ -33,10 +33,18 @@ once: chains drew from numpy's ``SeedSequence([seed, chain_index])``
 generator, in three pre-drawn arrays, until the annealer moved to the
 standard library, so the search imports no numpy.
 
-Cost.  A proposal costs O(deg(e)): the target is read by index from sorted
-lists of active and free labels, and the interaction delta is a scan of
-``e``'s neighbours.  Only a move that empties a cluster or opens one edits
-those lists, in O(n).
+Cost.  A proposal costs O(deg(e)): it reads its source's and target's
+member counts and the target's token sum plus ``e``'s once each, and
+reuses them for the target draw, the cap check, the size delta, the update
+and the open/empty tests; the target is read by index from sorted lists of
+active and free labels, and the interaction delta is a scan of ``e``'s
+neighbours.  Only a move that empties a cluster or opens one edits those
+lists, in O(n).  The cooling schedule is built once per start temperature:
+capped chains all start from singletons, so one list serves every one of
+them, while an uncapped chain cools its own.  A chain copies its labels
+only when it leaves its best state, just before the first accepted move
+that does not improve on it, and returns its live labels when it ends
+there.
 """
 
 from __future__ import annotations
@@ -46,7 +54,9 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dsm import Dsm
 from .errors import IncompleteAssignment, require_int
@@ -185,6 +195,16 @@ def _neighbours(dsm: Dsm) -> list[list[tuple[int, int]]]:
     return [sorted(row.items()) for row in sums]
 
 
+def _schedule(start_j: float, iters: int) -> Iterator[float]:
+    """The temperature of each of ``iters`` proposals: from T0 = max(1, J0 / 20),
+    cooled by one repeated ``*= cool`` per proposal, before it is made, to about
+    ``_COOL_RATIO`` * T0 at the last."""
+    cool = _COOL_RATIO ** (1.0 / max(iters, 1))
+    temps = accumulate(repeat(cool, iters), mul, initial=max(1.0, 0.05 * start_j))
+    next(temps)  # T0 itself: the first proposal is made one cooling step below it
+    return temps
+
+
 def _anneal_chain(
     dsm: Dsm,
     nbrs: list[list[tuple[int, int]]],
@@ -192,21 +212,27 @@ def _anneal_chain(
     tok: list[int],
     chain_index: int,
     singletons: tuple[float, float, int],
+    capped_schedule: Iterable[float],
 ) -> tuple[list[int], float]:
     """One annealing restart from the :func:`_score` of its drawn labels, or of
     singletons when capped (``singletons``, which the caller scores once for
-    every chain); returns the best label vector seen and its tracked J."""
+    every chain); returns the best label vector seen and its tracked J.
+
+    Capped chains share their start, so they take their temperatures from
+    ``capped_schedule``, the caller's one :func:`_schedule` of it; an
+    uncapped chain cools from its own start."""
     n = dsm.n
     draw = random.Random(f"{params.seed}:{chain_index}").random
     cap = params.max_cluster_tokens
-    iters = params.iterations_per_restart
 
     if cap is None:
         labels = [int(draw() * n) for _ in range(n)]
         current_j, size_sq, interaction = _score(dsm, labels, params, tok)
+        temperatures = _schedule(current_j, params.iterations_per_restart)
     else:
         labels = list(range(n))  # singletons are always cap-feasible here
         current_j, size_sq, interaction = singletons
+        temperatures = capped_schedule
     limit = math.inf if cap is None else cap
     count = [0] * n
     toksum = [0] * n
@@ -217,36 +243,31 @@ def _anneal_chain(
 
     alpha, beta, exp = params.alpha, params.beta, math.exp
     best_j = current_j
-    best_labels = labels.copy()
-
-    if iters == 0:
-        return best_labels, best_j
-
-    temperature = max(1.0, 0.05 * current_j)
-    cool = _COOL_RATIO ** (1.0 / iters)
+    best_labels = None  # None while the live labels are the best seen
 
     active = sorted(set(labels))
     free = sorted(set(range(n)).difference(active))
-    num_active = len(active)
+    others = len(active) - 1  # active labels besides a proposal's source
 
-    for _ in range(iters):
-        temperature *= cool
+    for temperature in temperatures:
         e = int(draw() * n)
         source = labels[e]
+        n_source = count[source]
         # targets: active labels ascending without the source, then free[0]
         # when the source keeps other members (so at most n-1 are active);
         # with n >= 2 there is always one: a lone active label holds all n.
         # active holds the source, so active[k] is the k-th target while it
         # sits below the source, and active[k + 1] from the source on
-        others = num_active - 1
-        k = int(draw() * (others + (count[source] > 1)))
+        k = int(draw() * (others + (n_source > 1)))
         if k < others:
             target = active[k]
             if target >= source:
                 target = active[k + 1]
         else:
             target = free[0]
-        if toksum[target] + tok[e] > limit:
+        tok_e = tok[e]
+        grown = toksum[target] + tok_e
+        if grown > limit:
             continue  # infinite penalty: never even propose acceptance
 
         # the zero diagonal keeps e itself out of its neighbour list
@@ -257,10 +278,11 @@ def _anneal_chain(
                 d_interaction += w
             elif label == target:
                 d_interaction -= w
+        n_target = count[target]
         if mean_tok == 0.0:
-            d_size = 2 * (count[target] - count[source] + 1)
+            d_size = 2 * (n_target - n_source + 1)
         else:
-            te = tok[e] / mean_tok
+            te = tok_e / mean_tok
             s_src = toksum[source] / mean_tok
             s_tgt = toksum[target] / mean_tok
             d_size = 2.0 * te * (s_tgt - s_src + te)
@@ -269,27 +291,29 @@ def _anneal_chain(
         if delta > 0 and draw() >= exp(-delta / temperature):
             continue
 
-        labels[e] = target
-        count[source] -= 1
-        count[target] += 1
-        toksum[source] -= tok[e]
-        toksum[target] += tok[e]
-        if count[target] == 1:
-            del free[0]
-            insort(active, target)
-            num_active += 1
-        if count[source] == 0:
-            del active[bisect_left(active, source)]
-            insort(free, source)
-            num_active -= 1
         interaction += d_interaction
         size_sq += d_size
         current_j = alpha * size_sq + beta * interaction
         if current_j < best_j:
             best_j = current_j
-            best_labels = labels.copy()
+            best_labels = None
+        elif best_labels is None:
+            best_labels = labels.copy()  # leaving the best state: keep it
+        labels[e] = target
+        count[source] = n_source - 1
+        count[target] = n_target + 1
+        toksum[source] -= tok_e
+        toksum[target] = grown
+        if n_target == 0:  # the target opens a cluster
+            del free[0]
+            insort(active, target)
+            others += 1
+        elif n_source == 1:  # the move empties the source
+            del active[bisect_left(active, source)]
+            insort(free, source)
+            others -= 1
 
-    return best_labels, best_j
+    return labels if best_labels is None else best_labels, best_j
 
 
 def _finalize(
@@ -347,9 +371,11 @@ def cluster(
 
     nbrs = _neighbours(dsm)
     singletons = _score(dsm, range(n), params, tok)
+    # capped chains all start from singletons: one schedule serves them all
+    capped_schedule = [] if cap is None else list(_schedule(singletons[0], params.iterations_per_restart))
     scored: list[tuple[float, Sequence[int]]] = []  # (J, labels) per candidate
     for chain in range(params.restarts):
-        labels, tracked_j = _anneal_chain(dsm, nbrs, params, tok, chain, singletons)
+        labels, tracked_j = _anneal_chain(dsm, nbrs, params, tok, chain, singletons, capped_schedule)
         scored.append((_score(dsm, labels, params, tok)[0], labels))
         _check_tracked(tracked_j, scored[-1][0], params, tok)
     scored.append((singletons[0], range(n)))

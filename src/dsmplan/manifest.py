@@ -31,6 +31,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -77,13 +78,15 @@ class ConversationModel:
     Its elements pass :func:`check_references`: ids are unique and every
     dependency names another element, however the model was built.  It keeps
     the id -> position map that check returns as ``positions`` and the id ->
-    count map as ``counts``, which the pipeline reads; :meth:`token_counts` copies it."""
+    count map as ``counts``, which the pipeline reads; :meth:`token_counts` copies it.
+    Both maps are read-only views, so no write can move a later plan while
+    ``==`` and ``hash``, which read only the three init fields, miss it."""
 
     elements: tuple[ConversationElement, ...]
     user_statement_tokens: int = 0
     instruction_tokens: int = 0
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)
-    counts: dict[str, int] = field(init=False, repr=False, compare=False)
+    positions: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    counts: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -91,8 +94,13 @@ class ConversationModel:
             require_int(name, getattr(self, name))
         if self.user_statement_tokens < 0 or self.instruction_tokens < 0:
             raise ValueError("token overheads must be non-negative")
-        object.__setattr__(self, "positions", check_references(self.elements))
-        object.__setattr__(self, "counts", {e.id: e.token_count for e in self.elements})
+        object.__setattr__(self, "positions", MappingProxyType(check_references(self.elements)))
+        object.__setattr__(self, "counts", MappingProxyType({e.id: e.token_count for e in self.elements}))
+
+    def __reduce__(self) -> tuple[type[ConversationModel], tuple[Any, ...]]:
+        """Pickle and copy as the init fields: a read-only view does not pickle,
+        and ``__post_init__`` builds both maps again."""
+        return type(self), (self.elements, self.user_statement_tokens, self.instruction_tokens)
 
     @property
     def element_ids(self) -> tuple[str, ...]:

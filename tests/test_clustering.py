@@ -363,6 +363,49 @@ def test_search_replays_reference_chain(case):
     assert cluster(d, params, token_counts=counts) == reference_cluster(d, params, counts)
 
 
+@pytest.mark.parametrize(
+    "settings", [{"max_cluster_tokens": 7801}, {}, {"size_mode": "tokens"}], ids=["capped", "uncapped", "tokens"]
+)
+def test_full_length_chains_replay_reference_chain(spacecraft, spacecraft_dsm, settings):
+    # the default 2 000 proposals; capped chains leave and regain their best
+    # state many times, so the labels they return are often the kept copy
+    d = spacecraft_dsm
+    params = ClusterParams(**settings)
+    tok = _token_vector(d, spacecraft.counts, params)
+    nbrs = clustering._neighbours(d)
+    singletons = clustering._score(d, range(d.n), params, tok)
+    schedule = list(clustering._schedule(singletons[0], params.iterations_per_restart))
+    sym = d.weights + d.weights.T
+    for chain in (0, 1, 5, 17, 31):
+        labels, tracked_j = clustering._anneal_chain(d, nbrs, params, tok, chain, singletons, schedule)
+        assert labels == reference_chain(sym, params, tok, chain).tolist()
+        clustering._check_tracked(tracked_j, clustering._score(d, labels, params, tok)[0], params, tok)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 2000])
+@pytest.mark.parametrize("start_j", [3.0, 11436.0, 156891.5])  # 3.0: T0 held at its floor of 1.0
+def test_schedule_is_the_repeated_cooling_product(iters, start_j):
+    want = []
+    temperature = max(1.0, 0.05 * start_j)
+    for _ in range(iters):
+        temperature *= clustering._COOL_RATIO ** (1.0 / iters)
+        want.append(temperature)
+    got = list(clustering._schedule(start_j, iters))
+    assert [t.hex() for t in got] == [t.hex() for t in want]
+
+
+def test_a_chain_without_proposals_returns_its_start(spacecraft, spacecraft_dsm):
+    d = spacecraft_dsm
+    for settings in ({"max_cluster_tokens": 7801}, {}):
+        params = ClusterParams(iterations_per_restart=0, **settings)
+        tok = _token_vector(d, spacecraft.counts, params)
+        singletons = clustering._score(d, range(d.n), params, tok)
+        labels, tracked_j = clustering._anneal_chain(d, clustering._neighbours(d), params, tok, 3, singletons, [])
+        start = reference_chain(d.weights + d.weights.T, params, tok, 3).tolist()
+        assert labels == start
+        assert tracked_j == clustering._score(d, start, params, tok)[0]
+
+
 def pin_dsm(n: int = 300, seed: str = "cluster-pin") -> tuple[Dsm, dict[str, int]]:
     """A numerical DSM shaped like the benchmark's anneal-300 manifests:
     element k depends on up to 4 of the 40 before it, every 20th one also on

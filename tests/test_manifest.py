@@ -1,5 +1,8 @@
+import copy
 import csv
+import dataclasses
 import json
+import pickle
 from collections import namedtuple
 
 import pytest
@@ -200,6 +203,37 @@ def test_conversation_model_rejects_a_repeated_id():
         ConversationModel(elements=tuple(elements))
     assert err.value.element_id == "a"
     assert ConversationModel(elements=tuple(elements[:2])).token_counts() == {"a": 5, "b": 1}
+
+
+@pytest.mark.parametrize("name", ["counts", "positions"])
+def test_the_model_maps_are_read_only(name):
+    model = parse_manifest(SPACECRAFT_MANIFEST)
+    before = dict(getattr(model, name))
+    with pytest.raises(TypeError):
+        getattr(model, name)["A"] = 1000
+    with pytest.raises(TypeError):
+        del getattr(model, name)["A"]
+    assert getattr(model, name) == before
+
+
+@pytest.mark.parametrize(
+    "rebuild",
+    [
+        lambda model: pickle.loads(pickle.dumps(model)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+        lambda model: dataclasses.replace(model, instruction_tokens=model.instruction_tokens),
+    ],
+    ids=["pickle", "copy", "deepcopy", "replace", "replace-field"],
+)
+def test_a_model_round_trips_with_its_maps(rebuild):
+    model = parse_manifest(SPACECRAFT_MANIFEST)
+    again = rebuild(model)
+    assert again == model and hash(again) == hash(model)
+    assert again.counts == model.counts and again.positions == model.positions
+    with pytest.raises(TypeError):
+        again.counts["A"] = 0
 
 
 @pytest.mark.parametrize(

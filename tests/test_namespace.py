@@ -124,3 +124,26 @@ def test_a_patched_layer_function_is_what_the_package_returns(monkeypatch):
     monkeypatch.undo()
     assert dsmplan.simulate is original is simulator.simulate
     assert "simulate" not in vars(dsmplan)  # looked up, never stored
+
+
+@pytest.mark.parametrize(
+    "argv, loads_simulator",
+    [
+        (["plan"], False),
+        (["cluster"], False),
+        (["budget"], False),
+        (["dsm"], False),
+        (["sequence"], False),
+        (["simulate", "--cw", "32000"], True),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_only_the_simulate_command_loads_the_simulator(argv, loads_simulator):
+    assert _fresh(
+        "import contextlib, io, json, sys\n"
+        "from dsmplan import cli\n"
+        "from dsmplan.data import SPACECRAFT_MANIFEST\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = cli.main({argv!r} + ['--manifest', str(SPACECRAFT_MANIFEST)])\n"
+        "print(json.dumps([code, bool(out.getvalue()), 'dsmplan.simulator' in sys.modules]))"
+    ) == [0, True, loads_simulator]
