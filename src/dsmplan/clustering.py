@@ -222,6 +222,7 @@ def _anneal_chain(
     ``capped_schedule``, the caller's one :func:`_schedule` of it; an
     uncapped chain cools from its own start."""
     n = dsm.n
+    n_float = float(n)  # u * n_float is u * n: the int converts to the same double
     draw = random.Random(f"{params.seed}:{chain_index}").random
     cap = params.max_cluster_tokens
 
@@ -243,14 +244,14 @@ def _anneal_chain(
 
     alpha, beta, exp = params.alpha, params.beta, math.exp
     best_j = current_j
-    best_labels = None  # None while the live labels are the best seen
+    best_labels: list[int] | None = None  # None while the live labels are the best seen
 
     active = sorted(set(labels))
     free = sorted(set(range(n)).difference(active))
     others = len(active) - 1  # active labels besides a proposal's source
 
     for temperature in temperatures:
-        e = int(draw() * n)
+        e = int(draw() * n_float)
         source = labels[e]
         n_source = count[source]
         # targets: active labels ascending without the source, then free[0]
@@ -280,7 +281,7 @@ def _anneal_chain(
                 d_interaction -= w
         n_target = count[target]
         if mean_tok == 0.0:
-            d_size = 2 * (n_target - n_source + 1)
+            d_size = 2.0 * (n_target - n_source + 1)  # exact, as an int would be
         else:
             te = tok_e / mean_tok
             s_src = toksum[source] / mean_tok
@@ -288,7 +289,7 @@ def _anneal_chain(
             d_size = 2.0 * te * (s_tgt - s_src + te)
         delta = alpha * d_size + beta * d_interaction
 
-        if delta > 0 and draw() >= exp(-delta / temperature):
+        if delta > 0.0 and draw() >= exp(-delta / temperature):
             continue
 
         interaction += d_interaction
