@@ -44,7 +44,9 @@ capped chains all start from singletons, so one list serves every one of
 them, while an uncapped chain cools its own.  A chain copies its labels
 only when it leaves its best state, just before the first accepted move
 that does not improve on it, and returns its live labels when it ends
-there.
+there.  Where an int meets a float (``n`` in the element draw, the
+count-mode size delta) it is held as the float it converts to, so those
+products skip the conversion and keep their values.
 """
 
 from __future__ import annotations
@@ -196,9 +198,9 @@ def _neighbours(dsm: Dsm) -> list[list[tuple[int, int]]]:
 
 
 def _schedule(start_j: float, iters: int) -> Iterator[float]:
-    """The temperature of each of ``iters`` proposals: from T0 = max(1, J0 / 20),
-    cooled by one repeated ``*= cool`` per proposal, before it is made, to about
-    ``_COOL_RATIO`` * T0 at the last."""
+    """The temperature of each of ``iters`` proposals: from T0 =
+    ``max(1.0, 0.05 * start_j)``, cooled by one repeated ``*= cool`` per
+    proposal, before it is made, to about ``_COOL_RATIO`` * T0 at the last."""
     cool = _COOL_RATIO ** (1.0 / max(iters, 1))
     temps = accumulate(repeat(cool, iters), mul, initial=max(1.0, 0.05 * start_j))
     next(temps)  # T0 itself: the first proposal is made one cooling step below it
